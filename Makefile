@@ -28,8 +28,12 @@ clippy:
 build:
 	$(CARGO) build --release
 
+# The root package is also the workspace, so a bare `cargo test` runs
+# only its own suites; the second line adds the unit tests of the storage,
+# update and serving crates.
 test:
 	$(CARGO) test -q
+	$(CARGO) test -q -p winslett-logic -p winslett-theory -p winslett-gua -p winslett-core -p winslett-serve
 
 # Exhaustive crash sweep: kills WAL writes at every byte boundary and
 # checks recovery lands on a legal prefix state. Release mode — the

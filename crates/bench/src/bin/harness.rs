@@ -52,6 +52,7 @@ fn main() {
     }
     if want("e3") {
         tables.push(experiments::e3(50 * scale));
+        tables.push(experiments::e3_shipped(10 * scale, 5));
     }
     if want("e4") {
         tables.push(experiments::e4(50 * scale));

@@ -2,7 +2,9 @@
 
 use crate::report::Table;
 use std::time::{Duration, Instant};
-use winslett_core::{ReplayDatabase, Workload};
+use winslett_core::{
+    DbOptions, DurableDatabase, LogicalDatabase, MemStorage, ReplayDatabase, WalOptions, Workload,
+};
 use winslett_gua::{GuaEngine, GuaOptions, SimplifyLevel};
 use winslett_ldml::{equivalent_brute, equivalent_updates, Update};
 use winslett_logic::{AtomId, Formula, ModelLimit, Wff};
@@ -147,6 +149,70 @@ pub fn e3(reps: usize) -> Table {
         "expected shape: µs/update ~ linear in g, ~flat in R (indices); last column ~constant-ish",
     );
     table
+}
+
+/// E3, shipped path — the same g = 1 insert of a fresh tuple, timed
+/// through the configurations users run: a [`LogicalDatabase`] (Fast
+/// simplify after every update) and a [`DurableDatabase`] with the
+/// shipped WAL options (`EveryRecord`, compaction on) over in-memory
+/// storage, so the figure is the write path's CPU, not the disk's. Each
+/// cell is the median over `runs` batches of `writes` statements.
+pub fn e3_shipped(writes: usize, runs: usize) -> Table {
+    let mut table = Table::new(
+        "E3s",
+        "shipped write path per g = 1 insert (claim: flat in R, like bare GUA)",
+        &["R", "LogicalDatabase µs/write", "DurableDatabase µs/write"],
+    );
+    let statement = |tag: usize| format!("INSERT Orders(w{tag}, 32, 1) WHERE T");
+    for &r in &[256usize, 1024, 4096, 16384, 65536] {
+        let mut w = Workload::new(0xE3 + r as u64);
+        let (theory, _) = w.orders_theory(r);
+
+        let mut db = LogicalDatabase::from_theory(theory.clone(), DbOptions::default());
+        let mut tag = 0;
+        let mut library = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            let start = Instant::now();
+            for _ in 0..writes {
+                db.execute(&statement(tag)).expect("update applies");
+                tag += 1;
+            }
+            library.push(start.elapsed() / writes as u32);
+        }
+
+        let (mut durable, _) = DurableDatabase::open(
+            MemStorage::new(),
+            DbOptions::default(),
+            WalOptions::default(),
+        )
+        .expect("fresh storage opens");
+        *durable.db_mut() = LogicalDatabase::from_theory(theory, DbOptions::default());
+        durable.checkpoint().expect("checkpoint");
+        let mut shipped = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            let start = Instant::now();
+            for _ in 0..writes {
+                durable.execute(&statement(tag)).expect("update applies");
+                tag += 1;
+            }
+            shipped.push(start.elapsed() / writes as u32);
+        }
+        table.row(vec![
+            r.to_string(),
+            fmt_us(median(&mut library)),
+            fmt_us(median(&mut shipped)),
+        ]);
+    }
+    table.note(format!(
+        "median of {runs} runs x {writes} writes; expected shape: flat in R (copy-on-write \
+         storage and occurrence-scoped simplify keep each write O(changed))"
+    ));
+    table
+}
+
+fn median(samples: &mut [Duration]) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 /// E4 — §3.6: the theory grows O(g) per update.

@@ -9,9 +9,12 @@
 
 use crate::error::DbError;
 use crate::query::{Answers, Query};
+use std::sync::Arc;
 use winslett_gua::{GuaEngine, GuaOptions, SimplifyLevel, UpdateReport};
 use winslett_ldml::Update;
-use winslett_logic::{parse_wff, AtomId, BitSet, Formula, ModelLimit, ParseContext, PredId, Wff};
+use winslett_logic::{
+    parse_wff, AtomId, BitSet, ChunkedVec, Formula, ModelLimit, ParseContext, PredId, Wff,
+};
 use winslett_theory::{Dependency, Theory, TheoryStats};
 
 /// Configuration for a [`LogicalDatabase`].
@@ -35,6 +38,37 @@ impl Default for DbOptions {
             widen_type_axioms: true,
             world_limit: ModelLimit::default(),
         }
+    }
+}
+
+/// The log of applied updates, oldest first. Copy-on-write: cloning a
+/// database shares it, and an append copies one chunk of handles.
+#[derive(Clone, Default, Debug)]
+pub struct UpdateLog(ChunkedVec<Arc<Update>>);
+
+impl UpdateLog {
+    /// Number of logged updates.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether nothing is logged.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The most recent update.
+    pub fn last(&self) -> Option<&Update> {
+        self.0.last().map(|u| &**u)
+    }
+
+    /// Iterates oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Update> + '_ {
+        self.0.iter().map(|u| &**u)
+    }
+
+    pub(crate) fn push(&mut self, update: Update) {
+        self.0.push(Arc::new(update));
     }
 }
 
@@ -66,7 +100,7 @@ pub struct LogicalDatabase {
     pub(crate) engine: GuaEngine,
     options: DbOptions,
     /// The update log (for provenance and the replay baseline).
-    pub(crate) log: Vec<Update>,
+    pub(crate) log: UpdateLog,
 }
 
 impl Default for LogicalDatabase {
@@ -86,7 +120,7 @@ impl LogicalDatabase {
         LogicalDatabase {
             engine: GuaEngine::new(Theory::new(), GuaOptions::simplify_always(options.simplify)),
             options,
-            log: Vec::new(),
+            log: UpdateLog::default(),
         }
     }
 
@@ -95,7 +129,7 @@ impl LogicalDatabase {
         LogicalDatabase {
             engine: GuaEngine::new(theory, GuaOptions::simplify_always(options.simplify)),
             options,
-            log: Vec::new(),
+            log: UpdateLog::default(),
         }
     }
 
@@ -115,7 +149,7 @@ impl LogicalDatabase {
     }
 
     /// The update log so far.
-    pub fn log(&self) -> &[Update] {
+    pub fn log(&self) -> &UpdateLog {
         &self.log
     }
 
@@ -235,7 +269,9 @@ impl LogicalDatabase {
             };
         let report = self.engine.apply_simultaneous(&effective)?;
         let n = effective.len();
-        self.log.extend(effective);
+        for u in effective {
+            self.log.push(u);
+        }
         Ok((n, report))
     }
 

@@ -27,7 +27,7 @@ pub mod vars;
 pub mod wal;
 pub mod workload;
 
-pub use db::{DbOptions, LogicalDatabase};
+pub use db::{DbOptions, LogicalDatabase, UpdateLog};
 pub use error::DbError;
 pub use explain::{explain, Explanation, Verdict};
 pub use nulls::{NullCatalog, NullableArg};

@@ -3,7 +3,9 @@
 //! The serving layer (`winslett-serve`) runs one writer and many readers.
 //! The writer owns the [`DurableDatabase`](crate::DurableDatabase) and,
 //! after each committed update, publishes an immutable [`TheorySnapshot`] —
-//! the theory cloned once and parked behind an `Arc`, stamped with the
+//! a copy-on-write clone of the theory (O(1): it shares every chunk and
+//! shard with the writer's copy until the writer next changes one) parked
+//! behind an `Arc`, stamped with the
 //! [`Theory::generation`] it was taken at. Readers clone the `Arc` (cheap)
 //! and never touch the writer again: a long analytical query runs against
 //! its pinned snapshot while the writer commits on.
@@ -39,8 +41,8 @@ pub struct TheorySnapshot {
 }
 
 impl TheorySnapshot {
-    /// Freezes `theory` into a snapshot (one clone; the only deep copy in
-    /// the snapshot lifecycle).
+    /// Freezes `theory` into a snapshot: one copy-on-write clone, O(1)
+    /// whatever the theory's size.
     pub fn capture(theory: &Theory) -> Self {
         Self::from_theory(theory.clone())
     }
@@ -80,10 +82,11 @@ impl TheorySnapshot {
 
 /// A private read session over one [`TheorySnapshot`].
 ///
-/// Construction clones the snapshot's vocabulary and atom table (so query
-/// parsing can intern without mutating the shared theory) and encodes the
-/// theory into a dedicated [`EntailmentSession`]; every subsequent query
-/// is assumption-solves against that one encoding.
+/// Construction takes private copy-on-write clones of the snapshot's
+/// vocabulary and atom table — O(1); a query that interns a new atom copies
+/// one chunk and one shard of the reader's copy, never the snapshot's — and
+/// encodes the theory into a dedicated [`EntailmentSession`]; every
+/// subsequent query is assumption-solves against that one encoding.
 pub struct SnapshotReader {
     snapshot: TheorySnapshot,
     /// Private language copy: interning a query's atoms must not race the
@@ -97,7 +100,8 @@ pub struct SnapshotReader {
 }
 
 impl SnapshotReader {
-    /// Builds a reader (clones the symbol tables, encodes the session).
+    /// Builds a reader (O(1) copies of the symbol tables, then encodes the
+    /// session).
     pub fn new(snapshot: TheorySnapshot) -> Self {
         let theory = snapshot.theory();
         SnapshotReader {

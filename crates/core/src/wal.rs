@@ -765,7 +765,8 @@ pub struct RecoveryReport {
     /// What the post-replay simplification pass accomplished. Replay runs
     /// unsimplified (the §4 configuration), so recovery folds the store
     /// back down afterwards; this is that pass's report — all zeros when
-    /// `open` initialized fresh storage and never replayed.
+    /// `open` replayed no record (fresh storage, or a checkpoint with no
+    /// suffix to apply).
     pub simplify: SimplifyReport,
 }
 
@@ -1089,8 +1090,12 @@ impl<S: Storage> DurableDatabase<S> {
         // Replay ran unsimplified (the §4 configuration); fold the store
         // back down to what the live database would carry. `simplify` is
         // infallible (it returns a report, not a Result), so the only
-        // thing to lose here is the report itself — surface it.
-        report.simplify = db.simplify(db_options.simplify);
+        // thing to lose here is the report itself — surface it. With
+        // nothing replayed the store is the checkpoint's, which is what
+        // the live database carried.
+        if report.replayed > 0 {
+            report.simplify = db.simplify(db_options.simplify);
+        }
         Ok((db, next_lsn, snapshot_lsn, report, unfinished))
     }
 
@@ -1210,6 +1215,8 @@ impl<S: Storage> DurableDatabase<S> {
     ) -> Result<T, DbError> {
         let copy = record.clone();
         let lsn = self.append_entry(record)?;
+        // The rollback copy is a copy-on-write clone: O(1) to take, and the
+        // update below copies only the chunks and shards it writes.
         let before = self.db.clone();
         match apply(&mut self.db) {
             Ok(v) => {
@@ -1846,7 +1853,8 @@ impl<S: Storage> DurableDatabase<S> {
     // ----- background compaction --------------------------------------------
     //
     // The LSM-style three-phase protocol. Phase 1 (`begin_compaction`,
-    // under the writer lock) captures a deep copy of the live theory and
+    // under the writer lock) captures a copy-on-write clone of the live
+    // theory (O(1)) and
     // starts retaining every subsequently journaled record in memory.
     // Phase 2 (off-lock, owned by the caller) runs full `gua::simplify`
     // on the copy while the writer keeps committing. Phase 3
@@ -1855,10 +1863,10 @@ impl<S: Storage> DurableDatabase<S> {
     // swap pause is proportional to the capture→install write volume,
     // never to the theory or log size.
 
-    /// Phase 1: captures a deep copy of the live theory plus the first
-    /// LSN not reflected in it, and starts retaining appended records so
-    /// [`DurableDatabase::install_compacted`] can replay the delta. The
-    /// copy costs the same as one snapshot publication. A previously
+    /// Phase 1: captures a copy-on-write clone of the live theory (O(1),
+    /// the same as one snapshot publication) plus the first LSN not
+    /// reflected in it, and starts retaining appended records so
+    /// [`DurableDatabase::install_compacted`] can replay the delta. A previously
     /// outstanding capture is silently superseded.
     pub fn begin_compaction(&mut self) -> (Theory, u64) {
         self.compaction_tail = Some(Vec::new());

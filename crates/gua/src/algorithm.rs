@@ -27,11 +27,11 @@
 //! world individually) over randomized theories in the test suite.
 
 use crate::error::GuaError;
-use crate::simplify::{simplify, SimplifyLevel, SimplifyReport};
+use crate::simplify::{simplify, simplify_scoped, SimplifyLevel, SimplifyReport};
 use rustc_hash::{FxHashMap, FxHashSet};
 use winslett_ldml::{parse_update, Update};
-use winslett_logic::{AtomId, GroundAtom, ParseContext, Wff};
-use winslett_theory::{Theory, TheoryError};
+use winslett_logic::{AtomId, GroundAtom, ParseContext, ShardedMap, Wff};
+use winslett_theory::{FormulaId, Theory, TheoryError};
 
 /// Options controlling a [`GuaEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -39,13 +39,14 @@ pub struct GuaOptions {
     /// Simplification applied after updates (§4: "a heuristic algorithm
     /// for simplification will be a vital part of any implementation").
     pub simplify: SimplifyLevel,
-    /// Growth factor that triggers a simplification pass. A full pass
-    /// costs O(store), so running it after *every* update would make
-    /// updates O(store) instead of the §3.6 O(g·log R); instead — GC-style
-    /// — the engine simplifies only once the store has grown past
-    /// `threshold ×` its size after the previous pass, keeping the
-    /// amortized cost per update O(g). `1.0` restores simplify-always;
-    /// the default is `1.5`.
+    /// Growth factor that triggers a simplification pass: GC-style, the
+    /// engine simplifies only once the store has grown past `threshold ×`
+    /// its size after the previous pass. A `Fast` pass is scoped to the
+    /// neighbourhood of the updates applied since the previous pass (see
+    /// [`simplify_scoped`]), so even `1.0` — simplify after every update —
+    /// keeps an update's cost proportional to what it touched; a `Full`
+    /// pass rewrites the whole store, and the threshold keeps its
+    /// amortized cost per update O(g). The default is `1.5`.
     pub simplify_threshold: f64,
 }
 
@@ -144,8 +145,12 @@ pub struct GuaEngine {
     pub theory: Theory,
     options: GuaOptions,
     /// Axiom instances already materialized (Step 5's "if it is not
-    /// already present").
-    instantiated: FxHashSet<Wff>,
+    /// already present"). Copy-on-write, so cloning an engine is O(1).
+    instantiated: ShardedMap<Wff, ()>,
+    /// Formulas inserted, and predicate constants minted, since the last
+    /// simplification pass: the seeds of the next scoped pass.
+    pending: Vec<FormulaId>,
+    pending_atoms: Vec<AtomId>,
     /// When tracing is on, a human-readable narration of each GUA step.
     trace: Option<Vec<String>>,
     /// Store size (nodes) right after the last simplification pass — the
@@ -160,7 +165,9 @@ impl GuaEngine {
         GuaEngine {
             theory,
             options,
-            instantiated: FxHashSet::default(),
+            instantiated: ShardedMap::new(),
+            pending: Vec::new(),
+            pending_atoms: Vec::new(),
             trace: None,
             last_simplified_nodes,
         }
@@ -303,7 +310,7 @@ impl GuaEngine {
         for &f in &all_atoms {
             if !self.theory.registry.is_registered(f) {
                 self.theory.register_atom(f);
-                self.theory.store.try_insert(&Wff::Atom(f).not())?;
+                self.add(&Wff::Atom(f).not())?;
                 report.completion_added += 1;
                 self.note(|t| {
                     format!(
@@ -327,7 +334,7 @@ impl GuaEngine {
                     let aa = self.theory.atoms.intern(GroundAtom::new(attr, &[c]));
                     if !self.theory.registry.is_registered(aa) {
                         self.theory.register_atom(aa);
-                        self.theory.store.try_insert(&Wff::Atom(aa).not())?;
+                        self.add(&Wff::Atom(aa).not())?;
                         report.completion_added += 1;
                     }
                 }
@@ -346,6 +353,7 @@ impl GuaEngine {
             let pc = self.theory.vocab.fresh_predicate_constant_for(&display);
             let pa = self.theory.atoms.intern(GroundAtom::nullary(pc));
             let occurrences = self.theory.store.rename_atom(f, pa);
+            self.pending_atoms.push(pa);
             report.rename_occurrences += occurrences;
             sigma.insert(f, pa);
             report.renamed += 1;
@@ -369,7 +377,7 @@ impl GuaEngine {
             .collect();
         for (form, phi_renamed) in forms.iter().zip(phis_renamed.iter()) {
             let wff = Wff::implies(phi_renamed.clone(), form.omega.clone());
-            self.theory.store.try_insert(&wff)?;
+            self.add(&wff)?;
             self.note(|t| {
                 format!(
                     "Step 3: added (φ)σ → ω:  {}",
@@ -394,7 +402,7 @@ impl GuaEngine {
                 .map(|f| Wff::iff(Wff::Atom(*f), Wff::Atom(sigma[f])))
                 .collect();
             let wff = Wff::implies(fired.not(), Wff::And(frame));
-            self.theory.store.try_insert(&wff)?;
+            self.add(&wff)?;
             self.note(|t| {
                 format!(
                     "Step 4: added frame formula ¬(φ)σ → ⋀(f ↔ p_f):  {}",
@@ -422,11 +430,20 @@ impl GuaEngine {
         self.step7(&step567_atoms, &mut report)?;
 
         // ---- §4: simplification (amortized via growth threshold) ----------
-        if self.options.simplify != SimplifyLevel::None {
+        if self.options.simplify == SimplifyLevel::None {
+            self.pending.clear();
+            self.pending_atoms.clear();
+        } else {
             let trigger = (self.last_simplified_nodes as f64 * self.options.simplify_threshold)
                 .max(16.0) as usize;
             if self.theory.store.size_nodes() >= trigger {
-                let r = simplify(&mut self.theory, self.options.simplify);
+                let r = if self.options.simplify == SimplifyLevel::Fast {
+                    let seeds = std::mem::take(&mut self.pending);
+                    let atoms = std::mem::take(&mut self.pending_atoms);
+                    simplify_scoped(&mut self.theory, &seeds, &atoms)?
+                } else {
+                    self.simplify(self.options.simplify)
+                };
                 self.last_simplified_nodes = r.nodes_after;
                 self.note(|_| {
                     format!(
@@ -529,7 +546,7 @@ impl GuaEngine {
         for &a in new_atoms {
             if !self.theory.registry.is_registered(a) {
                 self.theory.register_atom(a);
-                self.theory.store.try_insert(&Wff::Atom(a).not())?;
+                self.add(&Wff::Atom(a).not())?;
                 report.completion_added += 1;
             }
             // Attribute completion for the constants of typed tuples.
@@ -540,12 +557,20 @@ impl GuaEngine {
                     let aa = self.theory.atoms.intern(GroundAtom::new(attr, &[c]));
                     if !self.theory.registry.is_registered(aa) {
                         self.theory.register_atom(aa);
-                        self.theory.store.try_insert(&Wff::Atom(aa).not())?;
+                        self.add(&Wff::Atom(aa).not())?;
                         report.completion_added += 1;
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Inserts a wff GUA derived, remembering it as a seed of the next
+    /// scoped simplification pass.
+    fn add(&mut self, wff: &Wff) -> Result<(), GuaError> {
+        let id = self.theory.store.try_insert(wff)?;
+        self.pending.push(id);
         Ok(())
     }
 
@@ -555,9 +580,9 @@ impl GuaEngine {
         new_atoms: &mut Vec<AtomId>,
         counter: &mut usize,
     ) -> Result<(), GuaError> {
-        if self.instantiated.insert(inst.clone()) {
+        if self.instantiated.insert(inst.clone(), ()).is_none() {
             new_atoms.extend(inst.atom_set());
-            self.theory.store.try_insert(&inst)?;
+            self.add(&inst)?;
             *counter += 1;
             self.note(|t| {
                 format!(
@@ -569,11 +594,13 @@ impl GuaEngine {
         Ok(())
     }
 
-    /// Runs a standalone simplification pass (beyond the automatic
-    /// threshold-triggered ones).
+    /// Runs a standalone whole-store simplification pass (beyond the
+    /// automatic threshold-triggered ones).
     pub fn simplify(&mut self, level: SimplifyLevel) -> SimplifyReport {
         let r = simplify(&mut self.theory, level);
         self.last_simplified_nodes = r.nodes_after;
+        self.pending.clear();
+        self.pending_atoms.clear();
         r
     }
 }

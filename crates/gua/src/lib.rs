@@ -21,4 +21,4 @@ pub mod simplify;
 
 pub use algorithm::{apply_update, GuaEngine, GuaOptions, UpdateReport};
 pub use error::GuaError;
-pub use simplify::{simplify, SimplifyLevel, SimplifyReport};
+pub use simplify::{simplify, simplify_scoped, SimplifyLevel, SimplifyReport};

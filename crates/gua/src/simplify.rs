@@ -29,10 +29,18 @@
 //! The world-preservation property is verified against the possible-worlds
 //! baseline over randomized theories in the integration tests (E6's
 //! soundness leg).
+//!
+//! Two drivers run these rules. [`simplify`] rewrites the whole section
+//! and is what compaction, recovery and explicit passes use.
+//! [`simplify_scoped`] runs the `Fast` rules after an update over only the
+//! update's neighbourhood — its new formulas and the §3.6 occurrence lists
+//! of their atoms — which is all a section left at the previous pass's
+//! fixpoint can change in, so a per-update pass costs what the update
+//! touched rather than O(store).
 
 use rustc_hash::{FxHashMap, FxHashSet};
 use winslett_logic::{AtomId, EntailmentSession, Formula, Polarity, PredicateKind, Wff};
-use winslett_theory::Theory;
+use winslett_theory::{FormulaId, Theory, TheoryError};
 
 /// How aggressively to simplify.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,9 +87,8 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
         return report;
     }
 
-    let mut wffs: Vec<Wff> = theory
-        .store
-        .wffs()
+    let original = theory.store.wffs();
+    let mut wffs: Vec<Wff> = original
         .iter()
         .map(Formula::fold_constants)
         .filter(|w| *w != Wff::t())
@@ -360,10 +367,355 @@ pub fn simplify(theory: &mut Theory, level: SimplifyLevel) -> SimplifyReport {
             .collect();
     }
 
-    theory.store.replace_all(&wffs);
+    // A section already at the fixpoint is left as it is rather than
+    // rebuilt (recovery and compaction often pass one).
+    if wffs != original {
+        theory.store.replace_all(&wffs);
+    }
     report.nodes_after = theory.store.size_nodes();
     report.formulas_after = theory.store.len();
     report
+}
+
+/// One formula of a scoped pass: where it came from and what it is now.
+struct Entry {
+    /// The store id it was loaded from; `None` for a formula the pass made.
+    origin: Option<FormulaId>,
+    wff: Wff,
+    alive: bool,
+    /// Differs from the stored formula (always true without an origin).
+    changed: bool,
+}
+
+fn is_unit(w: &Wff) -> Option<(AtomId, bool)> {
+    match w {
+        Formula::Atom(a) => Some((*a, true)),
+        Formula::Not(inner) => match inner.as_ref() {
+            Formula::Atom(a) => Some((*a, false)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The working set of a scoped pass: the formulas loaded so far, and the
+/// atoms whose occurrence lists have been (or are queued to be) loaded.
+struct Scope<'t> {
+    theory: &'t Theory,
+    entries: Vec<Entry>,
+    loaded: FxHashSet<FormulaId>,
+    /// Atoms whose every occurrence is loaded: only for these is a
+    /// predicate constant's polarity or confinement known exactly.
+    expanded: FxHashSet<AtomId>,
+    /// Atoms whose occurrence lists are still to be loaded.
+    dirty: Vec<AtomId>,
+}
+
+impl Scope<'_> {
+    fn load(&mut self, id: FormulaId) {
+        if !self.theory.store.is_live(id) || !self.loaded.insert(id) {
+            return;
+        }
+        let stored = self.theory.store.resolve(id);
+        let wff = stored.fold_constants();
+        let changed = wff != stored;
+        if changed {
+            self.mark(&stored);
+        }
+        self.entries.push(Entry {
+            origin: Some(id),
+            alive: wff != Wff::t(),
+            wff,
+            changed,
+        });
+    }
+
+    /// Queues the occurrence lists of `w`'s atoms: `w` changed, so what
+    /// the rules concluded about those atoms may have changed too.
+    fn mark(&mut self, w: &Wff) {
+        for a in w.atom_set() {
+            if !self.expanded.contains(&a) {
+                self.dirty.push(a);
+            }
+        }
+    }
+
+    /// Loads the occurrence list of every queued atom.
+    fn expand(&mut self) {
+        while let Some(a) = self.dirty.pop() {
+            if self.expanded.insert(a) {
+                let ids: Vec<FormulaId> = self.theory.store.formulas_with(a).collect();
+                for id in ids {
+                    self.load(id);
+                }
+            }
+        }
+    }
+
+    /// Replaces entry `i`'s formula with `w` (dropping it if `w` is `T`).
+    fn rewrite(&mut self, i: usize, w: Wff) {
+        let old = std::mem::replace(&mut self.entries[i].wff, w);
+        self.mark(&old);
+        let e = &mut self.entries[i];
+        e.changed = true;
+        e.alive = e.wff != Wff::t();
+    }
+
+    fn push_new(&mut self, w: Wff) {
+        self.entries.push(Entry {
+            origin: None,
+            wff: w,
+            alive: true,
+            changed: true,
+        });
+    }
+
+    fn alive(&self) -> impl Iterator<Item = (usize, &Wff)> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.alive)
+            .map(|(i, e)| (i, &e.wff))
+    }
+}
+
+/// Runs the `Fast` rules over the neighbourhood of an update: the formulas
+/// `seeds` (the ones the update inserted), plus — transitively, as the
+/// rules rewrite formulas — the occurrence lists of every atom in a seed
+/// or in a rewritten formula, and of `atoms` (the predicate constants the
+/// update minted). Writes back with `remove`/`try_insert`.
+///
+/// On a section already at a `Fast` fixpoint this reaches the same
+/// fixpoint [`simplify`] would (its rules can only fire where something
+/// changed), at a cost proportional to the neighbourhood. On any other
+/// section it is still sound: a predicate constant is only eliminated once
+/// its whole occurrence list is loaded, and the other rules preserve
+/// equivalence formula by formula. A unit conflict collapses the section
+/// to `F`, as the whole-store pass does. If the store's quota cannot hold
+/// the rewritten formulas the section is left as it was.
+pub fn simplify_scoped(
+    theory: &mut Theory,
+    seeds: &[FormulaId],
+    atoms: &[AtomId],
+) -> Result<SimplifyReport, TheoryError> {
+    let mut report = SimplifyReport {
+        nodes_before: theory.store.size_nodes(),
+        formulas_before: theory.store.len(),
+        ..SimplifyReport::default()
+    };
+    let Some(entries) = scoped_fixpoint(theory, seeds, atoms, &mut report) else {
+        theory.store.replace_all(&[Wff::f()]);
+        report.nodes_after = theory.store.size_nodes();
+        report.formulas_after = theory.store.len();
+        return Ok(report);
+    };
+
+    // New formulas go in first, so a refused insert leaves every original
+    // formula in place: undo the inserts and keep the unsimplified section.
+    let mut inserted = Vec::new();
+    for e in entries.iter().filter(|e| e.alive && e.changed) {
+        match theory.store.try_insert(&e.wff) {
+            Ok(id) => inserted.push(id),
+            Err(TheoryError::StoreCapacity { .. }) => {
+                for id in inserted {
+                    theory.store.remove(id);
+                }
+                report.nodes_after = theory.store.size_nodes();
+                report.formulas_after = theory.store.len();
+                return Ok(report);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    for e in &entries {
+        if let (Some(id), true) = (e.origin, e.changed || !e.alive) {
+            theory.store.remove(id);
+        }
+    }
+    report.nodes_after = theory.store.size_nodes();
+    report.formulas_after = theory.store.len();
+    Ok(report)
+}
+
+/// The `Fast` fixpoint of [`simplify`], over a [`Scope`]. Returns `None`
+/// when the section is inconsistent.
+fn scoped_fixpoint(
+    theory: &Theory,
+    seeds: &[FormulaId],
+    atoms: &[AtomId],
+    report: &mut SimplifyReport,
+) -> Option<Vec<Entry>> {
+    let mut scope = Scope {
+        theory,
+        entries: Vec::new(),
+        loaded: FxHashSet::default(),
+        expanded: FxHashSet::default(),
+        dirty: atoms.to_vec(),
+    };
+    for &id in seeds.iter().chain(theory.store.atomless()) {
+        scope.load(id);
+    }
+    for i in 0..scope.entries.len() {
+        let w = scope.entries[i].wff.clone();
+        scope.mark(&w);
+    }
+    let is_pc = |a: AtomId| {
+        theory.vocab.predicate(theory.atoms.resolve(a).pred).kind
+            == PredicateKind::PredicateConstant
+    };
+
+    loop {
+        scope.expand();
+        let mut changed = false;
+
+        // ---- inconsistency short-circuit and unit conflicts -------------
+        let mut units: FxHashMap<AtomId, bool> = FxHashMap::default();
+        for (_, w) in scope.alive() {
+            if *w == Wff::f() {
+                return None;
+            }
+            if let Some((a, v)) = is_unit(w) {
+                if units.insert(a, v).is_some_and(|prev| prev != v) {
+                    return None;
+                }
+            }
+        }
+
+        // ---- unit propagation -------------------------------------------
+        if !units.is_empty() {
+            for i in 0..scope.entries.len() {
+                let e = &scope.entries[i];
+                if !e.alive || is_unit(&e.wff).is_some() {
+                    continue;
+                }
+                let mut rewritten = e.wff.clone();
+                for a in e.wff.atom_set() {
+                    if let Some(&v) = units.get(&a) {
+                        rewritten = rewritten.assign(a, v);
+                        report.units_propagated += 1;
+                    }
+                }
+                if rewritten != e.wff {
+                    scope.rewrite(i, rewritten);
+                    changed = true;
+                }
+            }
+        }
+
+        // ---- forced-literal extraction ------------------------------------
+        for i in 0..scope.entries.len() {
+            let e = &scope.entries[i];
+            if !e.alive || is_unit(&e.wff).is_some() {
+                continue;
+            }
+            let Some(forced) = winslett_logic::forced_literals(&e.wff, 8) else {
+                continue;
+            };
+            if forced.is_empty() {
+                continue;
+            }
+            let mut reduced = e.wff.clone();
+            for &(a, v) in &forced {
+                reduced = reduced.assign(a, v);
+                scope.push_new(if v { Wff::Atom(a) } else { Wff::Atom(a).not() });
+                report.units_propagated += 1;
+            }
+            scope.rewrite(i, reduced);
+            changed = true;
+        }
+
+        // ---- duplicate removal ------------------------------------------
+        let mut seen: FxHashSet<Wff> = FxHashSet::default();
+        let duplicates: Vec<usize> = scope
+            .alive()
+            .filter(|(_, w)| !seen.insert((*w).clone()))
+            .map(|(i, _)| i)
+            .collect();
+        for i in duplicates {
+            scope.rewrite(i, Wff::t());
+            changed = true;
+        }
+
+        // ---- predicate-constant elimination -------------------------------
+        // Only constants whose whole occurrence list is loaded qualify; any
+        // other constant's formulas are all unchanged since the last pass,
+        // which already found it neither pure nor confined.
+        let mut polarity: FxHashMap<AtomId, Polarity> = FxHashMap::default();
+        let mut holder: FxHashMap<AtomId, Option<usize>> = FxHashMap::default();
+        for (i, w) in scope.alive() {
+            for a in w.atom_set() {
+                if !scope.expanded.contains(&a) || !is_pc(a) {
+                    continue;
+                }
+                if let Some(p) = w.polarity_of(a) {
+                    polarity
+                        .entry(a)
+                        .and_modify(|q| {
+                            if *q != p {
+                                *q = Polarity::Both;
+                            }
+                        })
+                        .or_insert(p);
+                }
+                holder
+                    .entry(a)
+                    .and_modify(|h| {
+                        if *h != Some(i) {
+                            *h = None;
+                        }
+                    })
+                    .or_insert(Some(i));
+            }
+        }
+        let assigned: FxHashMap<AtomId, bool> = polarity
+            .iter()
+            .filter_map(|(&a, &p)| match p {
+                Polarity::Positive => Some((a, true)),
+                Polarity::Negative => Some((a, false)),
+                Polarity::Both => None,
+            })
+            .collect();
+        if !assigned.is_empty() {
+            report.pcs_eliminated += assigned.len();
+            changed = true;
+            for i in 0..scope.entries.len() {
+                let e = &scope.entries[i];
+                if !e.alive {
+                    continue;
+                }
+                let mut rewritten = e.wff.clone();
+                for (&a, &v) in &assigned {
+                    if rewritten.contains_atom(a) {
+                        rewritten = rewritten.assign(a, v);
+                    }
+                }
+                if rewritten != e.wff {
+                    scope.rewrite(i, rewritten);
+                }
+            }
+        } else {
+            let mut confined: Vec<(AtomId, usize)> = holder
+                .iter()
+                .filter_map(|(&a, &h)| Some((a, h?)))
+                .filter(|(a, _)| polarity.get(a) == Some(&Polarity::Both))
+                .collect();
+            confined.sort_unstable();
+            for (a, i) in confined {
+                let f = &scope.entries[i].wff;
+                if f.size() > 64 || !f.contains_atom(a) {
+                    continue;
+                }
+                let expanded = Wff::or2(f.assign(a, true), f.assign(a, false));
+                scope.rewrite(i, expanded);
+                report.pcs_eliminated += 1;
+                changed = true;
+            }
+        }
+
+        if !changed && scope.dirty.is_empty() {
+            return Some(scope.entries);
+        }
+    }
 }
 
 /// Existentially eliminates predicate constants that span a small group of

@@ -7,9 +7,9 @@
 //! model (we use hash maps for the global intern step and `BTreeMap`s for
 //! the per-predicate indices kept in `winslett-theory`).
 
+use crate::cow::{ChunkedVec, ShardedMap};
 use crate::symbols::{ConstId, PredId, PredicateKind, Vocabulary};
 use crate::AtomId;
-use rustc_hash::FxHashMap;
 use smallvec::SmallVec;
 use std::fmt;
 
@@ -75,11 +75,12 @@ impl fmt::Display for AtomDisplay<'_> {
 ///
 /// Every distinct ground atom receives a dense [`AtomId`]; the id space is
 /// shared between ordinary atoms and predicate constants so that formulas,
-/// valuations, and SAT variables can all be indexed by one `u32`.
+/// valuations, and SAT variables can all be indexed by one `u32`. Both
+/// directions are copy-on-write, so a clone is O(1).
 #[derive(Clone, Default, Debug)]
 pub struct AtomTable {
-    atoms: Vec<GroundAtom>,
-    ids: FxHashMap<GroundAtom, AtomId>,
+    atoms: ChunkedVec<GroundAtom>,
+    ids: ShardedMap<GroundAtom, AtomId>,
 }
 
 impl AtomTable {

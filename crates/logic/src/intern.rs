@@ -6,8 +6,13 @@
 //! a separate name space". [`Interner`] is that separate name space: every
 //! constant and predicate name is stored once, and all structures above it
 //! traffic in dense `u32` handles.
+//!
+//! Both directions sit on copy-on-write containers ([`ChunkedVec`],
+//! [`ShardedMap`]), so cloning an interner is O(1) and interning a new
+//! name copies one chunk and one shard.
 
-use rustc_hash::FxHashMap;
+use crate::cow::{ChunkedVec, ShardedMap};
+use std::sync::Arc;
 
 /// Bidirectional map between strings and dense `u32` handles.
 ///
@@ -16,8 +21,8 @@ use rustc_hash::FxHashMap;
 /// into side tables.
 #[derive(Clone, Default, Debug)]
 pub struct Interner {
-    names: Vec<Box<str>>,
-    ids: FxHashMap<Box<str>, u32>,
+    names: ChunkedVec<Arc<str>>,
+    ids: ShardedMap<Arc<str>, u32>,
 }
 
 impl Interner {
@@ -34,9 +39,9 @@ impl Interner {
         }
         let id =
             u32::try_from(self.names.len()).expect("interner overflow: more than u32::MAX symbols");
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.ids.insert(boxed, id);
+        let shared: Arc<str> = name.into();
+        self.names.push(Arc::clone(&shared));
+        self.ids.insert(shared, id);
         id
     }
 
@@ -65,10 +70,7 @@ impl Interner {
 
     /// Iterates over `(id, name)` pairs in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (i as u32, n.as_ref()))
+        self.names.iter().enumerate().map(|(i, n)| (i as u32, &**n))
     }
 }
 

@@ -30,6 +30,7 @@ pub mod access;
 pub mod atoms;
 pub mod bitset;
 pub mod cnf;
+pub mod cow;
 pub mod enumerate;
 pub mod error;
 pub mod formula;
@@ -47,6 +48,7 @@ pub use access::AccessSet;
 pub use atoms::{AtomTable, GroundAtom};
 pub use bitset::BitSet;
 pub use cnf::{CnfFormula, Tseitin};
+pub use cow::{ChunkedSet, ChunkedVec, ShardedMap};
 pub use enumerate::{enumerate_models, enumerate_models_brute, ModelLimit};
 pub use error::LogicError;
 pub use formula::{Formula, Polarity, Wff};

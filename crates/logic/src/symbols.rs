@@ -9,9 +9,11 @@
 //! Unique-name axioms are structural: two distinct [`ConstId`]s always denote
 //! distinct individuals, so `¬(c1 = c2)` never needs to be materialized.
 
+use crate::cow::ChunkedVec;
 use crate::intern::Interner;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an interned constant (a domain element such as `700`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -92,7 +94,8 @@ pub struct Predicate {
 pub struct Vocabulary {
     consts: Interner,
     pred_names: Interner,
-    preds: Vec<Predicate>,
+    /// Shared per entry so copying a chunk never copies a name.
+    preds: ChunkedVec<Arc<Predicate>>,
     fresh_counter: u64,
 }
 
@@ -150,11 +153,11 @@ impl Vocabulary {
         }
         let id = self.pred_names.intern(name);
         debug_assert_eq!(id as usize, self.preds.len());
-        self.preds.push(Predicate {
+        self.preds.push(Arc::new(Predicate {
             name: name.to_owned(),
             arity,
             kind,
-        });
+        }));
         Some(PredId(id))
     }
 
@@ -178,7 +181,7 @@ impl Vocabulary {
         self.preds
             .iter()
             .enumerate()
-            .map(|(i, p)| (PredId(i as u32), p))
+            .map(|(i, p)| (PredId(i as u32), &**p))
     }
 
     /// The current value of the fresh-name counter (the `N` of the next

@@ -19,7 +19,8 @@
 //!   produced. Batched acks are sent *after* the batch's sync — at least
 //!   as durable as the unbatched path.
 //! * **Reads** never take the writer lock. After every update the writer
-//!   publishes a [`TheorySnapshot`] (theory cloned once behind an `Arc`)
+//!   publishes a [`TheorySnapshot`] (a copy-on-write theory clone — O(1),
+//!   sharing every chunk and shard with the live theory — behind an `Arc`)
 //!   into an `RwLock` slot; connections grab the `Arc` and answer from a
 //!   private [`SnapshotReader`] whose entailment session is encoded once
 //!   per snapshot and reused across queries. A connection may `Pin` its
@@ -2486,7 +2487,8 @@ fn run_compactor<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) {
 /// the round was abandoned (writer closed/poisoned, or the swap-time
 /// replay failed — in which case the live database is untouched).
 fn compact_once<S: Storage>(shared: &Shared<S>, policy: &CompactionPolicy) -> Option<usize> {
-    // Phase 1: capture under the writer lock (cost: one theory clone).
+    // Phase 1: capture under the writer lock (an O(1) copy-on-write clone;
+    // the live theory copies a chunk or shard only when it next writes it).
     let (mut copy, from_lsn) = {
         let mut guard = shared.writer.lock().ok()?;
         let db = guard.as_mut()?;

@@ -8,19 +8,24 @@
 //! per-predicate ordered index of registered atoms, giving the `O(log R)`
 //! lookup/insert of the §3.6 cost model (`R` = "the greatest number of
 //! distinct occurrences in T of any predicate").
+//!
+//! The indices are copy-on-write ([`ChunkedSet`]s under a [`ShardedMap`]
+//! by predicate and a [`ChunkedVec`] by constant id, and a bitset in
+//! `ChunkedVec` words), so cloning a registry is O(1) and a registration
+//! copies one shard or chunk per index.
 
-use rustc_hash::FxHashMap;
-use std::collections::BTreeSet;
-use winslett_logic::{AtomId, BitSet, ConstId, PredId};
+use winslett_logic::{AtomId, BitSet, ChunkedSet, ChunkedVec, ConstId, PredId, ShardedMap};
 
 /// Per-predicate registered-atom indices plus a global registered set and
 /// the §3.6 "single separate index" from constants to the registered atoms
 /// mentioning them.
 #[derive(Clone, Default, Debug)]
 pub struct CompletionRegistry {
-    by_pred: FxHashMap<PredId, BTreeSet<AtomId>>,
-    by_const: FxHashMap<ConstId, BTreeSet<AtomId>>,
-    registered: BitSet,
+    by_pred: ShardedMap<PredId, ChunkedSet<AtomId>>,
+    /// Indexed by constant id.
+    by_const: ChunkedVec<ChunkedSet<AtomId>>,
+    /// Bitset over atom ids, one `u64` word per 64 atoms.
+    registered: ChunkedVec<u64>,
     count: usize,
     /// Bumped on every successful registration; feeds
     /// [`Theory::generation`](crate::Theory).
@@ -38,13 +43,25 @@ impl CompletionRegistry {
     /// is GUA Step 1 / Step 2′ / Step 7's "add f to the completion axiom
     /// for its predicate".
     pub fn register(&mut self, pred: PredId, atom: AtomId, args: &[ConstId]) -> bool {
-        if self.registered.get(atom.index()) {
+        if self.is_registered(atom) {
             return false;
         }
-        self.registered.set(atom.index(), true);
-        self.by_pred.entry(pred).or_default().insert(atom);
+        let (word, bit) = (atom.index() / 64, atom.index() % 64);
+        while self.registered.len() <= word {
+            self.registered.push(0);
+        }
+        *self.registered.get_mut(word).expect("grown above") |= 1 << bit;
+        self.by_pred
+            .get_or_insert_with(pred, ChunkedSet::new)
+            .insert(atom);
         for &c in args {
-            self.by_const.entry(c).or_default().insert(atom);
+            while self.by_const.len() <= c.index() {
+                self.by_const.push(ChunkedSet::new());
+            }
+            self.by_const
+                .get_mut(c.index())
+                .expect("grown above")
+                .insert(atom);
         }
         self.count += 1;
         self.version += 1;
@@ -61,14 +78,16 @@ impl CompletionRegistry {
     /// by GUA Step 5, case (2).
     pub fn atoms_with_constant(&self, c: ConstId) -> impl Iterator<Item = AtomId> + '_ {
         self.by_const
-            .get(&c)
+            .get(c.index())
             .into_iter()
             .flat_map(|set| set.iter().copied())
     }
 
     /// Whether `atom` is a disjunct of some completion axiom.
     pub fn is_registered(&self, atom: AtomId) -> bool {
-        self.registered.get(atom.index())
+        self.registered
+            .get(atom.index() / 64)
+            .is_some_and(|w| w & (1 << (atom.index() % 64)) != 0)
     }
 
     /// The registered atoms of `pred`, in atom-id order.
@@ -81,12 +100,16 @@ impl CompletionRegistry {
 
     /// Number of registered atoms of `pred`.
     pub fn count_of(&self, pred: PredId) -> usize {
-        self.by_pred.get(&pred).map_or(0, BTreeSet::len)
+        self.by_pred.get(&pred).map_or(0, ChunkedSet::len)
     }
 
     /// The paper's `R`: the largest per-predicate registered-atom count.
     pub fn max_predicate_size(&self) -> usize {
-        self.by_pred.values().map(BTreeSet::len).max().unwrap_or(0)
+        self.by_pred
+            .values()
+            .map(ChunkedSet::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total number of registered atoms across all predicates.
@@ -99,9 +122,17 @@ impl CompletionRegistry {
         self.count == 0
     }
 
-    /// The registered set as a bitset over atom ids.
-    pub fn registered_set(&self) -> &BitSet {
-        &self.registered
+    /// The registered set as a bitset over atom ids (built on demand).
+    pub fn registered_set(&self) -> BitSet {
+        let mut set = BitSet::zeros(self.registered.len() * 64);
+        for (w, &word) in self.registered.iter().enumerate() {
+            for bit in 0..64 {
+                if word & (1 << bit) != 0 {
+                    set.set(w * 64 + bit, true);
+                }
+            }
+        }
+        set
     }
 
     /// Iterates over all registered atoms grouped by predicate.

@@ -16,12 +16,22 @@
 //! [`AtomId`]. All occurrences of an atom share one slot (the paper's
 //! occurrence list head), so GUA Step 2's rename of `f` to a fresh
 //! predicate constant `p_f` is a single table write — O(1) regardless of
-//! how many occurrences `f` has.
+//! how many occurrences `f` has. Each slot also heads the list itself:
+//! the live formulas that mention it, which is what lets the per-update
+//! simplifier in `winslett-gua` visit an update's neighbourhood instead
+//! of the whole section.
+//!
+//! Every table lives in a copy-on-write container
+//! ([`ChunkedVec`], [`ShardedMap`]), so cloning a store is O(1) and a
+//! write copies only the chunks and shards it touches. Removed formula
+//! ids and emptied slots go on free lists and are reused by later
+//! inserts, so a store that simplifies in place never accumulates
+//! tombstones.
 
 use crate::error::TheoryError;
-use rustc_hash::FxHashMap;
 use smallvec::SmallVec;
-use winslett_logic::{AtomId, Formula, Wff};
+use std::sync::Arc;
+use winslett_logic::{AtomId, ChunkedVec, Formula, ShardedMap, Wff};
 
 /// Index of a slot in the store's indirection table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -35,7 +45,8 @@ impl SlotId {
     }
 }
 
-/// Handle to a stored formula.
+/// Handle to a stored formula. Valid until the formula is removed; the
+/// store may then reuse it for a later insert.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FormulaId(pub u32);
 
@@ -49,26 +60,126 @@ impl FormulaId {
 
 #[derive(Clone, Debug)]
 struct StoredFormula {
-    body: Formula<SlotId>,
+    /// `None` once removed (the id is then on the free list). Shared, so
+    /// copying a chunk of formulas never copies a formula.
+    body: Option<Arc<Formula<SlotId>>>,
     /// Number of AST nodes, cached for O(1) size accounting.
     nodes: usize,
-    live: bool,
+}
+
+/// Marks an atom with no primary slot in [`Bindings::primary`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// Which slots currently display each atom. In normal operation an atom
+/// has at most one slot, kept in a dense table indexed by atom id; renames
+/// onto an existing atom (never done by GUA, which renames onto *fresh*
+/// predicate constants) can merge lists, and the extra slots go in a side
+/// map. An atom has extra slots only if it has a primary one.
+#[derive(Clone, Default, Debug)]
+struct Bindings {
+    primary: ChunkedVec<u32>,
+    extra: ShardedMap<AtomId, SmallVec<[SlotId; 1]>>,
+}
+
+impl Bindings {
+    fn first(&self, atom: AtomId) -> Option<SlotId> {
+        self.primary
+            .get(atom.index())
+            .filter(|&&s| s != NO_SLOT)
+            .map(|&s| SlotId(s))
+    }
+
+    fn all(&self, atom: AtomId) -> impl Iterator<Item = SlotId> + '_ {
+        let extra = self.first(atom).and_then(|_| self.extra.get(&atom));
+        self.first(atom)
+            .into_iter()
+            .chain(extra.into_iter().flatten().copied())
+    }
+
+    fn set_primary(&mut self, atom: AtomId, s: u32) {
+        while self.primary.len() <= atom.index() {
+            self.primary.push(NO_SLOT);
+        }
+        *self.primary.get_mut(atom.index()).expect("grown above") = s;
+    }
+
+    fn bind(&mut self, atom: AtomId, s: SlotId) {
+        if self.first(atom).is_none() {
+            self.set_primary(atom, s.0);
+        } else {
+            self.extra.get_or_insert_with(atom, SmallVec::new).push(s);
+        }
+    }
+
+    fn unbind(&mut self, atom: AtomId, s: SlotId) {
+        if self.first(atom) == Some(s) {
+            let next = match self.extra.get_mut(&atom) {
+                Some(list) => list.pop(),
+                None => None,
+            };
+            if self.extra.get(&atom).is_some_and(|l| l.is_empty()) {
+                self.extra.remove(&atom);
+            }
+            self.set_primary(atom, next.map_or(NO_SLOT, |n| n.0));
+        } else if let Some(list) = self.extra.get_mut(&atom) {
+            list.retain(|x| *x != s);
+            if list.is_empty() {
+                self.extra.remove(&atom);
+            }
+        }
+    }
+
+    fn take(&mut self, atom: AtomId) -> SmallVec<[SlotId; 1]> {
+        let mut out = SmallVec::new();
+        if let Some(s) = self.first(atom) {
+            out.push(s);
+            self.set_primary(atom, NO_SLOT);
+            if let Some(list) = self.extra.remove(&atom) {
+                out.extend(list);
+            }
+        }
+        out
+    }
+
+    fn bound_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.primary
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != NO_SLOT)
+            .map(|(a, _)| AtomId(a as u32))
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Slot {
+    /// The atom this slot currently displays.
+    atom: AtomId,
+    /// Occurrences over live formulas (an atom repeated within one
+    /// formula counts each time).
+    occurrences: usize,
+    /// The occurrence list: the live formulas mentioning this slot, each
+    /// once.
+    formulas: SmallVec<[FormulaId; 2]>,
 }
 
 /// The non-axiomatic section of an extended relational theory, stored with
 /// the indirection structure of §3.6.
 #[derive(Clone, Default, Debug)]
 pub struct FormulaStore {
-    formulas: Vec<StoredFormula>,
-    /// Current atom of each slot (the "separate name space" pointers).
-    slots: Vec<AtomId>,
-    /// Live binding: which slots currently display each atom. In normal
-    /// operation an atom has at most one slot; renames onto an existing
-    /// atom (never done by GUA, which renames onto *fresh* predicate
-    /// constants) can merge lists.
-    atom_slots: FxHashMap<AtomId, SmallVec<[SlotId; 1]>>,
-    /// Occurrence count per slot, for growth accounting.
-    slot_occurrences: Vec<usize>,
+    formulas: ChunkedVec<StoredFormula>,
+    /// Per slot: its current atom (the "separate name space" pointer), its
+    /// occurrence count and its occurrence list.
+    slots: ChunkedVec<Slot>,
+    /// Live binding: which slots currently display each atom.
+    atom_slots: Bindings,
+    /// Removed formula ids and emptied slots, reused before the tables
+    /// grow.
+    free_formulas: ChunkedVec<FormulaId>,
+    free_slots: ChunkedVec<SlotId>,
+    /// Live formulas that mention no atom (folded constants such as the
+    /// `F` an inconsistent section collapses to). No occurrence list
+    /// reaches them.
+    atomless: Vec<FormulaId>,
     /// Total AST nodes over live formulas.
     live_nodes: usize,
     /// Number of live formulas.
@@ -112,8 +223,8 @@ impl FormulaStore {
         self.version
     }
 
-    /// Lowers the identifier-space ceilings. Inserts that would need a slot
-    /// or formula id at or beyond a ceiling fail with
+    /// Lowers the identifier-space ceilings. Inserts that would need more
+    /// live slots or live formulas than a ceiling allows fail with
     /// [`TheoryError::StoreCapacity`] instead of allocating. Used by tests
     /// to make the (otherwise ~4-billion-insert) overflow path reachable,
     /// and available to deployments that quota per-database growth.
@@ -130,16 +241,38 @@ impl FormulaStore {
         self.max_formulas.map_or(u64::from(u32::MAX), u64::from)
     }
 
-    fn slot_for(&mut self, atom: AtomId) -> SlotId {
-        if let Some(list) = self.atom_slots.get(&atom) {
-            if let Some(&s) = list.first() {
-                return s;
+    fn slot_mut(&mut self, s: SlotId) -> &mut Slot {
+        self.slots.get_mut(s.index()).expect("slot ids are dense")
+    }
+
+    /// Records one occurrence of `atom` in formula `id`, binding the atom
+    /// to a slot (a freed one first) if it has none. Returns the slot.
+    fn occur(&mut self, atom: AtomId, id: FormulaId) -> SlotId {
+        if let Some(s) = self.atom_slots.first(atom) {
+            let slot = self.slot_mut(s);
+            slot.occurrences += 1;
+            if slot.formulas.last() != Some(&id) {
+                slot.formulas.push(id);
             }
+            return s;
         }
-        let s = SlotId(u32::try_from(self.slots.len()).expect("checked by try_insert"));
-        self.slots.push(atom);
-        self.slot_occurrences.push(0);
-        self.atom_slots.entry(atom).or_default().push(s);
+        let fresh = Slot {
+            atom,
+            occurrences: 1,
+            formulas: SmallVec::from_slice(&[id]),
+        };
+        let s = match self.free_slots.pop() {
+            Some(s) => {
+                *self.slot_mut(s) = fresh;
+                s
+            }
+            None => {
+                let s = SlotId(u32::try_from(self.slots.len()).expect("checked by try_insert"));
+                self.slots.push(fresh);
+                s
+            }
+        };
+        self.atom_slots.bind(atom, s);
         s
     }
 
@@ -158,64 +291,103 @@ impl FormulaStore {
     /// rather than panicking mid-update.
     pub fn try_insert(&mut self, wff: &Wff) -> Result<FormulaId, TheoryError> {
         // Capacity is checked up front so a failed insert allocates
-        // nothing: the slot table must fit every atom of `wff` that does
-        // not already have a live binding, and the formula table one more
-        // entry.
-        if self.formulas.len() as u64 >= self.formula_ceiling() {
+        // nothing. Quotas count live entries: freed ids and slots are
+        // reused before the tables grow, so the live slots plus every
+        // atom of `wff` without a binding must fit, and one more live
+        // formula.
+        if self.live_count as u64 >= self.formula_ceiling() {
             return Err(TheoryError::StoreCapacity {
                 what: "formulas",
                 limit: self.formula_ceiling(),
             });
         }
-        let new_slots = wff
-            .atom_set()
-            .into_iter()
-            .filter(|a| !self.atom_slots.contains_key(a))
-            .count() as u64;
-        if self.slots.len() as u64 + new_slots > self.slot_ceiling() {
-            return Err(TheoryError::StoreCapacity {
-                what: "slots",
-                limit: self.slot_ceiling(),
-            });
+        let live_slots = (self.slots.len() - self.free_slots.len()) as u64;
+        // Counting the atoms without a binding needs a pass over the wff;
+        // skip it when even all-new atoms would fit.
+        if live_slots + wff.num_atom_occurrences() as u64 > self.slot_ceiling() {
+            let new_slots = wff
+                .atom_set()
+                .into_iter()
+                .filter(|a| self.atom_slots.first(*a).is_none())
+                .count() as u64;
+            if live_slots + new_slots > self.slot_ceiling() {
+                return Err(TheoryError::StoreCapacity {
+                    what: "slots",
+                    limit: self.slot_ceiling(),
+                });
+            }
         }
+        let id = match self.free_formulas.pop() {
+            Some(id) => id,
+            None => FormulaId(u32::try_from(self.formulas.len()).expect("checked above")),
+        };
+        // Each slot lists the formula once, however often it occurs: the
+        // list's last entry is this formula after its first occurrence.
+        let mut atomless = true;
         let body = wff.map_atoms(&mut |a: &AtomId| {
-            let s = self.slot_for(*a);
-            self.slot_occurrences[s.index()] += 1;
-            s
+            atomless = false;
+            self.occur(*a, id)
         });
         let nodes = body.size();
-        let id = FormulaId(u32::try_from(self.formulas.len()).expect("checked above"));
+        let stored = StoredFormula {
+            body: Some(Arc::new(body)),
+            nodes,
+        };
+        match self.formulas.get_mut(id.index()) {
+            Some(slot) => *slot = stored,
+            None => self.formulas.push(stored),
+        }
+        if atomless {
+            self.atomless.push(id);
+        }
         self.live_nodes += nodes;
         self.live_count += 1;
         self.version += 1;
-        self.formulas.push(StoredFormula {
-            body,
-            nodes,
-            live: true,
-        });
         Ok(id)
     }
 
-    /// Removes a formula (used by simplification). Idempotent.
+    /// Removes a formula (used by simplification). Idempotent. The id and
+    /// any slot left without occurrences are freed for reuse.
     pub fn remove(&mut self, id: FormulaId) {
-        let sf = &mut self.formulas[id.index()];
-        if sf.live {
-            sf.live = false;
-            self.live_nodes -= sf.nodes;
-            self.live_count -= 1;
-            self.version += 1;
-            // Occurrence counts are decremented so `occurrences_of` stays
-            // accurate for simplification decisions.
-            let body = sf.body.clone();
-            body.for_each_atom(&mut |s: &SlotId| {
-                self.slot_occurrences[s.index()] -= 1;
-            });
+        let Some(sf) = self.formulas.get_mut(id.index()) else {
+            return;
+        };
+        let Some(body) = sf.body.take() else {
+            return;
+        };
+        self.live_nodes -= sf.nodes;
+        self.live_count -= 1;
+        self.version += 1;
+        let mut atomless = true;
+        body.for_each_atom(&mut |s: &SlotId| {
+            atomless = false;
+            let slot = self.slot_mut(*s);
+            slot.occurrences -= 1;
+            if let Some(i) = slot.formulas.iter().position(|&f| f == id) {
+                slot.formulas.swap_remove(i);
+            }
+            if slot.occurrences == 0 {
+                let atom = slot.atom;
+                self.free_slot(atom, *s);
+            }
+        });
+        if atomless {
+            self.atomless.retain(|&f| f != id);
         }
+        self.free_formulas.push(id);
+    }
+
+    /// Unbinds an emptied slot from its atom and frees it.
+    fn free_slot(&mut self, atom: AtomId, s: SlotId) {
+        self.atom_slots.unbind(atom, s);
+        self.free_slots.push(s);
     }
 
     /// Whether `id` refers to a live formula.
     pub fn is_live(&self, id: FormulaId) -> bool {
-        self.formulas.get(id.index()).is_some_and(|sf| sf.live)
+        self.formulas
+            .get(id.index())
+            .is_some_and(|sf| sf.body.is_some())
     }
 
     /// Renames every occurrence of `from` to `to` in O(1) per slot (O(1)
@@ -224,17 +396,21 @@ impl FormulaStore {
     ///
     /// Returns the number of formula occurrences affected.
     pub fn rename_atom(&mut self, from: AtomId, to: AtomId) -> usize {
-        let Some(list) = self.atom_slots.remove(&from) else {
+        let list = self.atom_slots.take(from);
+        if list.is_empty() {
             return 0;
-        };
+        }
         self.version += 1;
         let mut occurrences = 0;
         for &s in &list {
-            debug_assert_eq!(self.slots[s.index()], from);
-            self.slots[s.index()] = to;
-            occurrences += self.slot_occurrences[s.index()];
+            let slot = self.slot_mut(s);
+            debug_assert_eq!(slot.atom, from);
+            slot.atom = to;
+            occurrences += slot.occurrences;
         }
-        self.atom_slots.entry(to).or_default().extend(list);
+        for s in list {
+            self.atom_slots.bind(to, s);
+        }
         occurrences
     }
 
@@ -246,30 +422,50 @@ impl FormulaStore {
     /// Number of live occurrences of `atom`.
     pub fn occurrences_of(&self, atom: AtomId) -> usize {
         self.atom_slots
-            .get(&atom)
-            .map(|list| list.iter().map(|s| self.slot_occurrences[s.index()]).sum())
-            .unwrap_or(0)
+            .all(atom)
+            .map(|s| self.slots[s.index()].occurrences)
+            .sum()
     }
 
-    /// Resolves a stored formula back to a wff over atoms.
-    pub fn resolve(&self, id: FormulaId) -> Wff {
+    /// The occurrence list of `atom`: every live formula that mentions it.
+    /// A formula can be listed twice only when a merging rename left two
+    /// of its slots displaying `atom`.
+    pub fn formulas_with(&self, atom: AtomId) -> impl Iterator<Item = FormulaId> + '_ {
+        self.atom_slots
+            .all(atom)
+            .flat_map(|s| self.slots[s.index()].formulas.iter().copied())
+    }
+
+    /// The live formulas that mention no atom at all.
+    pub fn atomless(&self) -> &[FormulaId] {
+        &self.atomless
+    }
+
+    fn body(&self, id: FormulaId) -> &Formula<SlotId> {
         self.formulas[id.index()]
             .body
-            .map_atoms(&mut |s: &SlotId| self.slots[s.index()])
+            .as_deref()
+            .unwrap_or_else(|| panic!("formula {} is not live", id.0))
+    }
+
+    /// Resolves a live formula back to a wff over atoms.
+    ///
+    /// # Panics
+    /// Panics if `id` is not live.
+    pub fn resolve(&self, id: FormulaId) -> Wff {
+        self.body(id)
+            .map_atoms(&mut |s: &SlotId| self.slots[s.index()].atom)
     }
 
     /// Iterates over the live formulas as `(id, wff)`.
     pub fn iter(&self) -> impl Iterator<Item = (FormulaId, Wff)> + '_ {
-        self.formulas
-            .iter()
-            .enumerate()
-            .filter(|(_, sf)| sf.live)
-            .map(|(i, sf)| {
-                (
-                    FormulaId(i as u32),
-                    sf.body.map_atoms(&mut |s: &SlotId| self.slots[s.index()]),
-                )
-            })
+        self.formulas.iter().enumerate().filter_map(|(i, sf)| {
+            let body = sf.body.as_deref()?;
+            Some((
+                FormulaId(i as u32),
+                body.map_atoms(&mut |s: &SlotId| self.slots[s.index()].atom),
+            ))
+        })
     }
 
     /// Materializes all live formulas as wffs over atoms.
@@ -279,19 +475,15 @@ impl FormulaStore {
 
     /// The set of atoms with at least one live occurrence, in sorted order.
     pub fn live_atoms(&self) -> Vec<AtomId> {
-        let mut out: Vec<AtomId> = self
-            .atom_slots
-            .iter()
-            .filter(|(_, list)| list.iter().any(|s| self.slot_occurrences[s.index()] > 0))
-            .map(|(&a, _)| a)
-            .collect();
-        out.sort_unstable();
-        out
+        self.atom_slots
+            .bound_atoms()
+            .filter(|&a| self.contains_atom(a))
+            .collect()
     }
 
     /// Replaces the entire store contents with `wffs` (used by the
-    /// simplifier after a rewrite pass). Slot and occurrence bookkeeping is
-    /// rebuilt from scratch.
+    /// whole-store simplifier after a rewrite pass). Slot and occurrence
+    /// bookkeeping is rebuilt from scratch.
     pub fn replace_all(&mut self, wffs: &[Wff]) {
         let (max_slots, max_formulas) = (self.max_slots, self.max_formulas);
         let version = self.version;
@@ -532,5 +724,65 @@ mod tests {
         assert_eq!(affected, 2000);
         // Every stored formula now displays the new atom.
         assert!(s.iter().all(|(_, w)| !w.contains_atom(AtomId(1))));
+    }
+
+    #[test]
+    fn insert_remove_cycles_never_exhaust_a_quota() {
+        // Freed formula ids and emptied slots are reused, and quotas count
+        // live entries: ten times the quota in insert/remove cycles must
+        // never be refused while the live store stays under it.
+        let mut s = FormulaStore::new();
+        s.set_capacity(4, 4);
+        let keep = s.try_insert(&a(0)).unwrap();
+        for i in 1..=40 {
+            let id = s
+                .try_insert(&Wff::or2(a(i), a(i + 1000)))
+                .unwrap_or_else(|e| panic!("cycle {i}: {e}"));
+            assert_eq!(s.len(), 2);
+            s.remove(id);
+        }
+        assert!(s.is_live(keep));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.formulas.len(), 2, "dead ids were reused");
+        assert_eq!(s.slots.len(), 3, "emptied slots were reused");
+        assert_eq!(s.live_atoms(), vec![AtomId(0)]);
+    }
+
+    #[test]
+    fn occurrence_lists_track_live_formulas() {
+        let mut s = FormulaStore::new();
+        let f1 = s.insert(&Wff::or2(a(1), a(1)));
+        let f2 = s.insert(&Wff::and2(a(1), a(2)));
+        let mut with1: Vec<FormulaId> = s.formulas_with(AtomId(1)).collect();
+        with1.sort_unstable();
+        assert_eq!(with1, vec![f1, f2]);
+        assert_eq!(s.occurrences_of(AtomId(1)), 3);
+        s.remove(f1);
+        assert_eq!(s.formulas_with(AtomId(1)).collect::<Vec<_>>(), vec![f2]);
+        // A rename moves the whole list with the slot.
+        s.rename_atom(AtomId(1), AtomId(7));
+        assert_eq!(s.formulas_with(AtomId(7)).collect::<Vec<_>>(), vec![f2]);
+        assert_eq!(s.formulas_with(AtomId(1)).count(), 0);
+        // Formulas without atoms are listed apart.
+        let f = s.insert(&Wff::f());
+        assert_eq!(s.atomless(), &[f]);
+        s.remove(f);
+        assert!(s.atomless().is_empty());
+    }
+
+    #[test]
+    fn clones_are_isolated() {
+        let mut s = FormulaStore::new();
+        let ids: Vec<FormulaId> = (0..600).map(|i| s.insert(&a(i))).collect();
+        let snapshot = s.clone();
+        s.remove(ids[3]);
+        s.rename_atom(AtomId(4), AtomId(9999));
+        s.insert(&Wff::and2(a(1), a(2)));
+        assert_eq!(snapshot.len(), 600);
+        assert_eq!(snapshot.resolve(ids[3]), a(3));
+        assert_eq!(snapshot.resolve(ids[4]), a(4));
+        assert_eq!(snapshot.occurrences_of(AtomId(1)), 1);
+        assert_eq!(s.resolve(ids[4]), a(9999));
+        assert_eq!(s.occurrences_of(AtomId(1)), 2);
     }
 }

@@ -203,7 +203,7 @@ impl Theory {
     /// `true` if the atom was new to the axiom. Predicate constants have no
     /// completion axioms and are accepted as a no-op `false`.
     pub fn register_atom(&mut self, atom: AtomId) -> bool {
-        let ga = self.atoms.resolve(atom).clone();
+        let ga = self.atoms.resolve(atom);
         if self.vocab.predicate(ga.pred).kind == PredicateKind::PredicateConstant {
             return false;
         }
