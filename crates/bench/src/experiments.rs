@@ -3,7 +3,8 @@
 use crate::report::Table;
 use std::time::{Duration, Instant};
 use winslett_core::{
-    DbOptions, DurableDatabase, LogicalDatabase, MemStorage, ReplayDatabase, WalOptions, Workload,
+    replay_record, DbOptions, DurableDatabase, LogicalDatabase, MemStorage, ReplayDatabase,
+    TheorySnapshot, WalOptions, Workload,
 };
 use winslett_gua::{GuaEngine, GuaOptions, SimplifyLevel};
 use winslett_ldml::{equivalent_brute, equivalent_updates, Update};
@@ -155,13 +156,22 @@ pub fn e3(reps: usize) -> Table {
 /// through the configurations users run: a [`LogicalDatabase`] (Fast
 /// simplify after every update) and a [`DurableDatabase`] with the
 /// shipped WAL options (`EveryRecord`, compaction on) over in-memory
-/// storage, so the figure is the write path's CPU, not the disk's. Each
-/// cell is the median over `runs` batches of `writes` statements.
+/// storage, so the figure is the write path's CPU, not the disk's. The
+/// follower column times the replica side of the same writes: each
+/// shipped record's [`replay_record`] plus the publication the replica
+/// tailer makes after a one-record batch (generation bump and snapshot
+/// capture). Each cell is the median over `runs` batches of `writes`
+/// statements.
 pub fn e3_shipped(writes: usize, runs: usize) -> Table {
     let mut table = Table::new(
         "E3s",
         "shipped write path per g = 1 insert (claim: flat in R, like bare GUA)",
-        &["R", "LogicalDatabase µs/write", "DurableDatabase µs/write"],
+        &[
+            "R",
+            "LogicalDatabase µs/write",
+            "DurableDatabase µs/write",
+            "follower µs/write",
+        ],
     );
     let statement = |tag: usize| format!("INSERT Orders(w{tag}, 32, 1) WHERE T");
     for &r in &[256usize, 1024, 4096, 16384, 65536] {
@@ -197,10 +207,32 @@ pub fn e3_shipped(writes: usize, runs: usize) -> Table {
             }
             shipped.push(start.elapsed() / writes as u32);
         }
+
+        // The follower starts from the durable database's current state,
+        // as a replica bootstrapped from a checkpoint would.
+        durable.enable_shipping();
+        let mut follower = durable.db().clone();
+        let mut published = follower.theory().generation();
+        let mut replica = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            for _ in 0..writes {
+                durable.execute(&statement(tag)).expect("update applies");
+                tag += 1;
+            }
+            let batch = durable.drain_shipping();
+            let start = Instant::now();
+            for entry in &batch {
+                replay_record(&mut follower, &entry.record).expect("record replays");
+                follower.theory_mut().advance_generation_past(published);
+                published = TheorySnapshot::capture(follower.theory()).generation();
+            }
+            replica.push(start.elapsed() / writes as u32);
+        }
         table.row(vec![
             r.to_string(),
             fmt_us(median(&mut library)),
             fmt_us(median(&mut shipped)),
+            fmt_us(median(&mut replica)),
         ]);
     }
     table.note(format!(

@@ -20,10 +20,10 @@ use winslett_theory::{Theory, TheoryStats};
 
 /// Replays `updates` in order through GUA (no simplification — the §4
 /// strawman's configuration) onto a scratch copy of `initial`, returning
-/// the resulting theory. This is the single replay path shared by
-/// [`ReplayDatabase::materialize`] and the WAL recovery of
-/// [`crate::wal`]: recovery *is* the strawman's recomputation, run once at
-/// startup instead of per query.
+/// the resulting theory — the recomputation behind
+/// [`ReplayDatabase::materialize`]. WAL replay does not use it: it applies
+/// each record through the database's own engine
+/// ([`crate::wal::replay_record`]).
 pub fn replay_updates(initial: &Theory, updates: &[Update]) -> Result<Theory, DbError> {
     let mut engine = GuaEngine::new(
         initial.clone(),

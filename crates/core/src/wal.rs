@@ -7,9 +7,9 @@
 //! change) is journaled — length-prefixed, CRC32-checksummed, versioned —
 //! **before** GUA applies it, so that after a crash the database state can
 //! be reconstructed by loading the latest [`TheoryDump`] snapshot and
-//! replaying the WAL suffix through the same replay path
-//! [`ReplayDatabase`](crate::ReplayDatabase) uses
-//! ([`replay_updates`]). Recovery truncates at the first torn or corrupt
+//! replaying the WAL suffix through [`replay_record`] — the same
+//! long-lived-engine apply the live writer runs, which replicas and
+//! compaction installs use too. Recovery truncates at the first torn or corrupt
 //! record, which gives the atomicity guarantee the fault-injection tests
 //! enforce: whatever byte a crash lands on, the recovered theory's
 //! alternative-world set equals the world set after some *prefix* of the
@@ -36,7 +36,6 @@
 use crate::db::{DbOptions, LogicalDatabase};
 use crate::error::DbError;
 use crate::persist::{self, DependencyDump, TheoryDump};
-use crate::replay::replay_updates;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -491,6 +490,36 @@ fn effective_entries(entries: Vec<WalEntry>) -> Vec<WalEntry> {
         .collect()
 }
 
+/// What each journaled entry contributes to the state, in journal order.
+/// `None` marks an entry that takes no effect: one below `floor` (covered
+/// by a snapshot or capture), one annulled by an `Abort` record, the abort
+/// records themselves, transaction markers, and intents of transactions
+/// whose commit marker is not in `entries`. A committed intent takes
+/// effect at its journal position: the lock table made everything
+/// interleaved with it footprint-disjoint, so that equals applying it at
+/// the commit point (Theorems 3/4).
+fn effective_ops(entries: &[WalEntry], floor: u64) -> impl Iterator<Item = Option<&WalRecord>> {
+    let mut aborted = HashSet::new();
+    let mut committed = HashSet::new();
+    for e in entries {
+        match e.record {
+            WalRecord::Abort(lsn) => aborted.insert(lsn),
+            WalRecord::TxnCommit(txn) => committed.insert(txn),
+            _ => false,
+        };
+    }
+    entries.iter().map(move |e| match &e.record {
+        _ if e.lsn < floor || aborted.contains(&e.lsn) => None,
+        WalRecord::TxnOp(txn, op) if committed.contains(txn) => Some(op.as_ref()),
+        WalRecord::Abort(_)
+        | WalRecord::TxnOp(..)
+        | WalRecord::TxnBegin(_)
+        | WalRecord::TxnCommit(_)
+        | WalRecord::TxnAbort(_) => None,
+        other => Some(other),
+    })
+}
+
 /// Reads and validates the snapshot file, without restoring the theory.
 fn read_snapshot<S: Storage>(storage: &S) -> Result<Option<WalSnapshot>, DbError> {
     let Some(bytes) = storage.read(SNAPSHOT_FILE)? else {
@@ -762,11 +791,12 @@ pub struct RecoveryReport {
     /// committed or aborted) and rolled back by `open`, which appends a
     /// compensating [`WalRecord::TxnAbort`] for each.
     pub rolled_back: usize,
-    /// What the post-replay simplification pass accomplished. Replay runs
-    /// unsimplified (the §4 configuration), so recovery folds the store
-    /// back down afterwards; this is that pass's report — all zeros when
-    /// `open` replayed no record (fresh storage, or a checkpoint with no
-    /// suffix to apply).
+    /// What the post-replay simplification pass accomplished. Each
+    /// replayed record already ran the live writer's occurrence-scoped
+    /// simplify; recovery then runs the whole-store pass once (O(R) per
+    /// `open`, not per record) over whatever the scoped passes left. This
+    /// is that pass's report — all zeros when `open` replayed no record
+    /// (fresh storage, or a checkpoint with no suffix to apply).
     pub simplify: SimplifyReport,
 }
 
@@ -968,8 +998,8 @@ impl<S: Storage> DurableDatabase<S> {
         Ok((me, report))
     }
 
-    /// Loads the snapshot (if any) and replays the WAL suffix through the
-    /// §4 replay path, stopping at the first failing record.
+    /// Loads the snapshot (if any) and replays the WAL suffix through
+    /// [`replay_record`], stopping at the first failing record.
     #[allow(clippy::type_complexity)]
     fn recover(
         storage: &S,
@@ -1016,70 +1046,29 @@ impl<S: Storage> DurableDatabase<S> {
             .map(|e| e.lsn + 1)
             .unwrap_or(0)
             .max(snapshot_lsn);
-        let aborted: HashSet<u64> = parsed
-            .entries
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::Abort(lsn) => Some(lsn),
-                _ => None,
-            })
-            .collect();
-        // Transaction outcomes: a TxnOp is effective only if its commit
-        // marker made it into the intact log. Anything begun but neither
-        // committed nor aborted is an in-flight transaction the crash
-        // interrupted — its intents are skipped here and `open` appends
-        // the compensating abort marker.
+        // A TxnOp is effective only if its commit marker made it into the
+        // intact log. Anything begun but neither committed nor aborted is
+        // an in-flight transaction the crash interrupted — its intents
+        // are skipped and `open` appends the compensating abort marker.
         let mut txn_seen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut txn_committed: HashSet<u64> = HashSet::new();
-        let mut txn_aborted: HashSet<u64> = HashSet::new();
+        let mut txn_ended: HashSet<u64> = HashSet::new();
         for entry in &parsed.entries {
             match &entry.record {
-                WalRecord::TxnBegin(t) => {
-                    txn_seen.insert(*t);
-                }
-                WalRecord::TxnOp(txn, _) => {
-                    txn_seen.insert(*txn);
-                }
-                WalRecord::TxnCommit(t) => {
-                    txn_committed.insert(*t);
-                }
-                WalRecord::TxnAbort(t) => {
-                    txn_aborted.insert(*t);
-                }
-                _ => {}
-            }
+                WalRecord::TxnBegin(t) | WalRecord::TxnOp(t, _) => txn_seen.insert(*t),
+                WalRecord::TxnCommit(t) | WalRecord::TxnAbort(t) => txn_ended.insert(*t),
+                _ => false,
+            };
         }
         let unfinished: Vec<u64> = txn_seen
-            .iter()
-            .copied()
-            .filter(|t| !txn_committed.contains(t) && !txn_aborted.contains(t))
+            .into_iter()
+            .filter(|t| !txn_ended.contains(t))
             .collect();
-        for entry in &parsed.entries {
-            if entry.lsn < snapshot_lsn
-                || aborted.contains(&entry.lsn)
-                || matches!(entry.record, WalRecord::Abort(_))
-            {
-                report.skipped += 1;
-                continue;
-            }
-            // Committed transactions replay their intents at journal
-            // position: the lock table made everything interleaved with
-            // them footprint-disjoint, so this equals replaying them at
-            // the commit point (Theorems 3/4). Uncommitted intents and
-            // the markers themselves replay nothing.
-            let effective: Option<&WalRecord> = match &entry.record {
-                WalRecord::TxnOp(txn, op) if txn_committed.contains(txn) => Some(op),
-                WalRecord::TxnOp(..)
-                | WalRecord::TxnBegin(_)
-                | WalRecord::TxnCommit(_)
-                | WalRecord::TxnAbort(_) => None,
-                other => Some(other),
-            };
+        for effective in effective_ops(&parsed.entries, snapshot_lsn) {
             let Some(record) = effective else {
                 report.skipped += 1;
                 continue;
             };
-            match Self::replay_entry(&mut db, record) {
+            match replay_record(&mut db, record) {
                 Ok(()) => report.replayed += 1,
                 Err(e) => {
                     report.replay_error = Some(e.to_string());
@@ -1087,30 +1076,42 @@ impl<S: Storage> DurableDatabase<S> {
                 }
             }
         }
-        // Replay ran unsimplified (the §4 configuration); fold the store
-        // back down to what the live database would carry. `simplify` is
-        // infallible (it returns a report, not a Result), so the only
-        // thing to lose here is the report itself — surface it. With
-        // nothing replayed the store is the checkpoint's, which is what
-        // the live database carried.
+        // Each record ran the scoped per-update simplify; one whole-store
+        // pass folds whatever those left. `simplify` is infallible (it
+        // returns a report, not a Result), so the only thing to lose here
+        // is the report itself — surface it. With nothing replayed the
+        // store is the checkpoint's, which is what the live database
+        // carried.
         if report.replayed > 0 {
             report.simplify = db.simplify(db_options.simplify);
         }
         Ok((db, next_lsn, snapshot_lsn, report, unfinished))
     }
-
-    fn replay_entry(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
-        replay_record(db, record)
-    }
 }
 
-/// Applies one journaled operation to `db` through the §4 replay path —
-/// the exact function crash recovery uses, exported so a replication
-/// follower replays shipped WAL records with the same semantics. `Apply`
-/// records go through [`replay_updates`] (unsimplified GUA); callers that
-/// replay long suffixes should fold the store down afterwards with
-/// [`LogicalDatabase::simplify`], as recovery does.
+/// Applies one journaled operation to `db` exactly as the live writer
+/// did: an `Apply` record runs through the database's own long-lived
+/// engine (GUA plus the occurrence-scoped simplify), so a replayed write
+/// costs what the original did. Recovery, replication followers and
+/// compaction installs use it; transaction workspace refreshes use its
+/// body without the rollback.
+///
+/// Atomic: on `Err` the database is restored to its state before the
+/// call (GUA's apply can fail mid-step), so a caller that counts the
+/// error and continues never keeps a half-applied record.
 pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
+    let before = db.clone(); // copy-on-write: O(1)
+    let result = apply_record(db, record);
+    if result.is_err() {
+        *db = before;
+    }
+    result
+}
+
+/// [`replay_record`] without the rollback, for transaction workspace
+/// refreshes: when a replay fails they rebuild the workspace from the
+/// live database instead, so the rollback clone would be pure cost.
+fn apply_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(), DbError> {
     match record {
         WalRecord::DeclareAttribute(name) => {
             db.declare_attribute(name)?;
@@ -1147,12 +1148,7 @@ pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(),
         }
         WalRecord::Apply(ud) => {
             let u = restore_update(ud, db.theory_mut())?;
-            let theory = replay_updates(db.theory(), std::slice::from_ref(&u))?;
-            let options = db.options();
-            let mut log = std::mem::take(&mut db.log);
-            log.push(u);
-            *db = LogicalDatabase::from_theory(theory, options);
-            db.log = log;
+            db.apply_effective(&u)?;
         }
         WalRecord::Abort(_) => {}
         // Transaction markers carry no state transition of their own. A
@@ -1160,7 +1156,7 @@ pub fn replay_record(db: &mut LogicalDatabase, record: &WalRecord) -> Result<(),
         // replica's tailer) gate on the commit marker *before* handing
         // the op here, buffering or dropping uncommitted intents.
         WalRecord::TxnBegin(_) | WalRecord::TxnCommit(_) | WalRecord::TxnAbort(_) => {}
-        WalRecord::TxnOp(_, op) => replay_record(db, op)?,
+        WalRecord::TxnOp(_, op) => apply_record(db, op)?,
     }
     Ok(())
 }
@@ -1391,18 +1387,6 @@ impl<S: Storage> DurableDatabase<S> {
         self.txns.get(&txn).map(|s| &s.workspace)
     }
 
-    /// Re-applies one journaled op to `db` the way the live writer would
-    /// (inline simplify), rather than through the unsimplified §4 replay.
-    fn reapply(db: &mut LogicalDatabase, op: &WalRecord) -> Result<(), DbError> {
-        if let WalRecord::Apply(ud) = op {
-            let u = restore_update(ud, db.theory_mut())?;
-            db.apply_effective(&u)?;
-            Ok(())
-        } else {
-            replay_record(db, op)
-        }
-    }
-
     /// Retains one live-mutation record for delta refreshes, evicting
     /// whole version groups (a transaction commit lands several records
     /// under one version; covering a version partially is useless) and
@@ -1449,7 +1433,7 @@ impl<S: Storage> DurableDatabase<S> {
                 if *v <= state.basis_version {
                     continue;
                 }
-                if Self::reapply(&mut state.workspace, r).is_err() {
+                if apply_record(&mut state.workspace, r).is_err() {
                     ok = false;
                     break;
                 }
@@ -1463,7 +1447,7 @@ impl<S: Storage> DurableDatabase<S> {
         }
         let mut ws = self.db.clone();
         for op in &state.ops {
-            Self::reapply(&mut ws, op)?;
+            apply_record(&mut ws, op)?;
         }
         state.workspace = ws;
         state.basis_version = self.applied_version;
@@ -1504,7 +1488,7 @@ impl<S: Storage> DurableDatabase<S> {
                 }
                 let mut ws = self.db.clone();
                 for op in &state.ops {
-                    if let Err(re) = Self::reapply(&mut ws, op) {
+                    if let Err(re) = apply_record(&mut ws, op) {
                         return Err(TxnJournalErr::Broken(re));
                     }
                 }
@@ -1919,54 +1903,15 @@ impl<S: Storage> DurableDatabase<S> {
         }
         let generation_before = self.db.theory().generation();
         let nodes_before = self.db.theory().store_nodes();
-        // Records annulled by a compensating abort never reached the live
-        // theory; skip them exactly as recovery does.
-        let aborted: HashSet<u64> = tail
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::Abort(lsn) => Some(lsn),
-                _ => None,
-            })
-            .collect();
-        // Transactions begun during the capture→install window: only ops
-        // whose commit marker is in the tail reached the live theory (the
-        // server never captures while transactions are open, so no
-        // transaction straddles the capture point).
-        let committed: HashSet<u64> = tail
-            .iter()
-            .filter_map(|e| match e.record {
-                WalRecord::TxnCommit(t) => Some(t),
-                _ => None,
-            })
-            .collect();
+        // The tail is filtered exactly as recovery filters its suffix: only
+        // committed transactions reached the live theory (the server never
+        // captures while transactions are open, so none straddles the
+        // capture point). It replays as the live writer applied it, so
+        // the installed theory is never bulkier than the one it replaces.
         let mut scratch = LogicalDatabase::from_theory(compacted, self.db.options());
         let mut replayed = 0usize;
-        for entry in &tail {
-            if entry.lsn < from_lsn
-                || aborted.contains(&entry.lsn)
-                || matches!(entry.record, WalRecord::Abort(_))
-            {
-                continue;
-            }
-            let record = match &entry.record {
-                WalRecord::TxnOp(txn, op) if committed.contains(txn) => op.as_ref(),
-                WalRecord::TxnOp(..)
-                | WalRecord::TxnBegin(_)
-                | WalRecord::TxnCommit(_)
-                | WalRecord::TxnAbort(_) => continue,
-                other => other,
-            };
-            // Unlike crash recovery (which replays through the §4
-            // unsimplified path and folds once at the end), replay the
-            // suffix exactly as the live writer applied it — inline
-            // simplify at the configured level — so the installed theory
-            // is never bulkier than the one it replaces.
-            if let WalRecord::Apply(ud) = record {
-                let u = restore_update(ud, scratch.theory_mut())?;
-                scratch.apply_effective(&u)?;
-            } else {
-                Self::replay_entry(&mut scratch, record)?;
-            }
+        for record in effective_ops(&tail, from_lsn).flatten() {
+            replay_record(&mut scratch, record)?;
             replayed += 1;
         }
         // The live log already contains the suffix ops (they were applied
@@ -2578,8 +2523,8 @@ mod tests {
                 .unwrap();
         }
         let (_, report) = reopen(ddb.into_storage());
-        // The replay produced an unsimplified store; the post-replay pass
-        // must have seen it and its report must be visible, not discarded.
+        // The post-replay whole-store pass must have seen the replayed
+        // store and its report must be visible, not discarded.
         assert!(report.simplify.nodes_before > 0, "{report:?}");
         assert!(report.simplify.nodes_after <= report.simplify.nodes_before);
         assert_eq!(
@@ -2854,7 +2799,6 @@ mod tests {
             }
             other => panic!("no checkpoint yet, expected Suffix: {other:?}"),
         }
-        follower.simplify(DbOptions::default().simplify);
         assert_eq!(world_set(&follower), world_set(ddb.db()));
     }
 
@@ -2886,7 +2830,6 @@ mod tests {
                     assert!(e.lsn >= boundary);
                     replay_record(&mut follower, &e.record).unwrap();
                 }
-                follower.simplify(DbOptions::default().simplify);
                 assert_eq!(world_set(&follower), live);
             }
             other => panic!("expected Snapshot: {other:?}"),
@@ -2902,6 +2845,55 @@ mod tests {
         );
         // Catch-up at exactly next_lsn is an empty suffix, not an error.
         assert_eq!(ddb.catchup_from(next).unwrap(), Catchup::Suffix(vec![]));
+    }
+
+    #[test]
+    fn replay_record_is_atomic_when_an_apply_fails_partway() {
+        let mut ddb = seeded(opts_nocompact());
+        ddb.execute("INSERT Orders(100,32,1) | Orders(100,32,7) WHERE T")
+            .unwrap();
+        let mut follower = LogicalDatabase::with_options(DbOptions::default());
+        match ddb.catchup_from(0).unwrap() {
+            Catchup::Suffix(entries) => {
+                for e in entries {
+                    replay_record(&mut follower, &e.record).unwrap();
+                }
+            }
+            other => panic!("no checkpoint yet, expected Suffix: {other:?}"),
+        }
+        // Room for one more formula: GUA gets partway into the branching
+        // insert (new constants interned, a formula stored) and then
+        // hits the store-capacity ceiling.
+        let len = follower.theory().store.len() as u32;
+        follower.theory_mut().store.set_capacity(u32::MAX, len + 1);
+        let record = WalRecord::Apply(UpdateDump::Insert(
+            "Orders(800,32,5) | Orders(801,32,5)".into(),
+            "InStock(32,1)".into(),
+        ));
+        let fingerprint = |db: &LogicalDatabase| {
+            (
+                world_set(db),
+                db.theory().store_nodes(),
+                db.theory().atoms.len(),
+                db.log().len(),
+                db.theory().generation(),
+            )
+        };
+        let before = fingerprint(&follower);
+        // The unguarded applier leaves a trace on its way to the error...
+        let mut bare = follower.clone();
+        let err = apply_record(&mut bare, &record).unwrap_err();
+        assert!(err.to_string().contains("capacity"), "{err}");
+        assert_ne!(fingerprint(&bare), before);
+        // ...which replay_record rolls back.
+        assert!(replay_record(&mut follower, &record).is_err());
+        assert_eq!(fingerprint(&follower), before);
+        // The restored follower keeps replaying.
+        follower.theory_mut().store.set_capacity(u32::MAX, u32::MAX);
+        replay_record(&mut follower, &record).unwrap();
+        ddb.execute("INSERT Orders(800,32,5) | Orders(801,32,5) WHERE InStock(32,1)")
+            .unwrap();
+        assert_eq!(world_set(&follower), world_set(ddb.db()));
     }
 
     // ----- transactions -----------------------------------------------------

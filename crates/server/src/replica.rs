@@ -2,10 +2,11 @@
 //!
 //! A replica connects to a primary `winslett-serve`, subscribes to its
 //! WAL stream, and rebuilds the logical database by replaying shipped
-//! records through the same §4 path recovery uses. It then serves the
-//! read half of the protocol (query / check / explain / pin) from its own
-//! snapshot chain; every write-shaped request is refused with a typed
-//! `ReadOnly` error.
+//! records through [`replay_record`] — recovery's applier, which runs
+//! each write as the primary's writer did. It then serves the read half
+//! of the protocol (query / check / explain / pin) from its own snapshot
+//! chain; every write-shaped request is refused with a typed `ReadOnly`
+//! error.
 //!
 //! ## Catch-up and the stream
 //!
@@ -60,10 +61,6 @@ pub struct ReplicaOptions {
     pub idle_timeout: Duration,
     /// Pause between reconnection attempts to the primary.
     pub reconnect_backoff: Duration,
-    /// Run the post-batch simplification pass the primary's recovery
-    /// path would run. On by default; benches may disable it to measure
-    /// raw apply throughput.
-    pub simplify_after_batch: bool,
     /// Serve reads with the classic blocking thread-per-connection loop
     /// instead of the epoll reactor (benchmarking baseline; the reactor
     /// is the default).
@@ -76,7 +73,6 @@ impl Default for ReplicaOptions {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
             reconnect_backoff: Duration::from_millis(50),
-            simplify_after_batch: true,
             threaded: false,
         }
     }
@@ -560,7 +556,8 @@ fn tail_once(
             // expected. A record that still refuses mirrors recovery's
             // deterministic-refusal accounting — it was journaled but
             // deterministically refused, so skipping keeps us aligned
-            // with the primary.
+            // with the primary (`replay_record` rolls a failed record
+            // back whole; nothing of it is published).
             if replay_record(db, record).is_err() {
                 shared
                     .stats
@@ -617,9 +614,6 @@ fn tail_once(
         if applied == 0 {
             continue;
         }
-        if shared.options.simplify_after_batch {
-            db.simplify(db_options.simplify);
-        }
         shared
             .stats
             .replica_records
@@ -647,8 +641,8 @@ fn published(shared: &ReplicaShared) -> Arc<ReplicaPublished> {
 
 /// Publishes the tailer's current state. The generation is forced past
 /// the previous publication's: connection read sessions are cached by
-/// generation, and `replay_record` rebuilds the database through
-/// `from_theory` on `Apply` records, which would otherwise reset it.
+/// generation, and a checkpoint bootstrap rebuilds the database through
+/// `from_theory`, which would otherwise reset it.
 /// `cursor` is the resubscription point (pinned at the oldest open
 /// transaction while intents are held); `last_lsn` is the highest
 /// shipped LSN the published state agrees with.
