@@ -29,11 +29,13 @@ build:
 	$(CARGO) build --release
 
 # The root package is also the workspace, so a bare `cargo test` runs
-# only its own suites; the second line adds the unit tests of the storage,
-# update and serving crates.
+# only its own suites; the second line adds the unit tests of the logic,
+# storage, worlds, language, update, analyzer and serving crates.
+# winslett-bench stays out: its single-window throughput gates are
+# noise-bound (ROADMAP 5(b)).
 test:
 	$(CARGO) test -q
-	$(CARGO) test -q -p winslett-logic -p winslett-theory -p winslett-gua -p winslett-core -p winslett-serve
+	$(CARGO) test -q -p winslett-logic -p winslett-theory -p winslett-worlds -p winslett-ldml -p winslett-gua -p winslett-core -p winslett-analyze -p winslett-serve
 
 # Exhaustive crash sweep: kills WAL writes at every byte boundary and
 # checks recovery lands on a legal prefix state. Release mode — the

@@ -160,8 +160,11 @@ pub fn e3(reps: usize) -> Table {
 /// follower column times the replica side of the same writes: each
 /// shipped record's [`replay_record`] plus the publication the replica
 /// tailer makes after a one-record batch (generation bump and snapshot
-/// capture). Each cell is the median over `runs` batches of `writes`
-/// statements.
+/// capture). The reader columns time the read side at the same R: a
+/// [`SnapshotReader::new`](winslett_core::SnapshotReader::new) over the
+/// durable database's latest snapshot, and that reader's first `decide`
+/// of a written tuple. Each cell is the median over `runs` batches of
+/// `writes` statements (or `writes` readers).
 pub fn e3_shipped(writes: usize, runs: usize) -> Table {
     let mut table = Table::new(
         "E3s",
@@ -171,6 +174,8 @@ pub fn e3_shipped(writes: usize, runs: usize) -> Table {
             "LogicalDatabase µs/write",
             "DurableDatabase µs/write",
             "follower µs/write",
+            "SnapshotReader::new µs",
+            "first decide µs",
         ],
     );
     let statement = |tag: usize| format!("INSERT Orders(w{tag}, 32, 1) WHERE T");
@@ -228,16 +233,39 @@ pub fn e3_shipped(writes: usize, runs: usize) -> Table {
             }
             replica.push(start.elapsed() / writes as u32);
         }
+
+        let snapshot = TheorySnapshot::capture(durable.db().theory());
+        let probe = format!("Orders(w{}, 32, 1)", tag - 1);
+        let mut reader_new = Vec::with_capacity(runs);
+        let mut first_decide = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            let (mut build, mut decide) = (Duration::ZERO, Duration::ZERO);
+            for _ in 0..writes {
+                let start = Instant::now();
+                let mut reader = snapshot.reader();
+                build += start.elapsed();
+                let start = Instant::now();
+                let verdict = reader.decide(&probe).expect("probe parses");
+                decide += start.elapsed();
+                assert_eq!(verdict, (true, true), "the written tuple is certain");
+            }
+            reader_new.push(build / writes as u32);
+            first_decide.push(decide / writes as u32);
+        }
         table.row(vec![
             r.to_string(),
             fmt_us(median(&mut library)),
             fmt_us(median(&mut shipped)),
             fmt_us(median(&mut replica)),
+            fmt_us(median(&mut reader_new)),
+            fmt_us(median(&mut first_decide)),
         ]);
     }
     table.note(format!(
-        "median of {runs} runs x {writes} writes; expected shape: flat in R (copy-on-write \
-         storage and occurrence-scoped simplify keep each write O(changed))"
+        "median of {runs} runs x {writes} writes (readers); expected shape: writes flat in R \
+         (copy-on-write storage and occurrence-scoped simplify keep each write O(changed)); \
+         a reader's build linear in R at one root assignment per stored fact, its first \
+         decide flat"
     ));
     table
 }

@@ -13,8 +13,12 @@
 //! Reading still needs *mutable* machinery — parsing a wff interns atoms,
 //! and SAT solving mutates the solver — so each reader holds a
 //! [`SnapshotReader`]: a private copy of the snapshot's symbol tables plus
-//! a private [`EntailmentSession`] encoded **once per snapshot** and reused
-//! across every query the connection sends at that generation. Atoms a
+//! a private [`EntailmentSession`] built **once per snapshot** and reused
+//! across every query the connection sends at that generation. Building
+//! the session is the one O(R) step: a pass over the store's slot bodies
+//! that makes one root solver assignment per unit fact and Tseitin-encodes
+//! only the non-unit formulas ([`Theory::fresh_entailment_session`]).
+//! Each query afterwards costs what it touches, not R. Atoms a
 //! query mentions that the snapshot has never interned are outside every
 //! completion axiom, hence false in every world: the reader folds them to
 //! `F` before the session sees them, so answers agree exactly with what
@@ -85,8 +89,12 @@ impl TheorySnapshot {
 /// Construction takes private copy-on-write clones of the snapshot's
 /// vocabulary and atom table — O(1); a query that interns a new atom copies
 /// one chunk and one shard of the reader's copy, never the snapshot's — and
-/// encodes the theory into a dedicated [`EntailmentSession`]; every
-/// subsequent query is assumption-solves against that one encoding.
+/// loads the theory into a dedicated [`EntailmentSession`]: one root
+/// assignment per stored unit fact and per pinned-false atom, Tseitin
+/// clauses for the non-unit formulas only (about 35–45 ns per stored
+/// fact). Every subsequent query is assumption solves against that one
+/// session, each costing what the query touches: the solver never
+/// re-propagates the root facts and picks decisions from an order heap.
 pub struct SnapshotReader {
     snapshot: TheorySnapshot,
     /// Private language copy: interning a query's atoms must not race the
@@ -100,8 +108,8 @@ pub struct SnapshotReader {
 }
 
 impl SnapshotReader {
-    /// Builds a reader (O(1) copies of the symbol tables, then encodes the
-    /// session).
+    /// Builds a reader: O(1) copies of the symbol tables, then one pass
+    /// over the store to load the session.
     pub fn new(snapshot: TheorySnapshot) -> Self {
         let theory = snapshot.theory();
         SnapshotReader {

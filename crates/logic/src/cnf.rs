@@ -13,7 +13,7 @@
 
 use crate::formula::Formula;
 use crate::sat::{Lit, Solver, Var};
-use crate::Wff;
+use crate::{AtomId, Wff};
 
 /// A formula in conjunctive normal form.
 #[derive(Clone, Default, Debug)]
@@ -75,9 +75,9 @@ impl Tseitin {
     /// Drains the clauses accumulated since the last call, leaving the
     /// encoder ready for more input. Used by incremental consumers that
     /// stream clauses into a live solver instead of calling
-    /// [`Tseitin::finish`].
-    pub fn take_clauses(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.clauses)
+    /// [`Tseitin::finish`]; the buffer is kept for reuse.
+    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Vec<Lit>> {
+        self.clauses.drain(..)
     }
 
     fn fresh(&mut self) -> Var {
@@ -100,10 +100,21 @@ impl Tseitin {
 
     /// Encodes `wff` to a literal equisatisfiably representing it.
     pub fn encode(&mut self, wff: &Wff) -> Lit {
+        self.encode_with(wff, &mut |a: &AtomId| *a)
+    }
+
+    /// Encodes a formula over any leaf type, mapping each leaf to its atom
+    /// with `atom_of` — how a theory's store bodies, whose leaves are
+    /// storage slots, are encoded without first being resolved to wffs.
+    pub fn encode_with<A, F>(&mut self, wff: &Formula<A>, atom_of: &mut F) -> Lit
+    where
+        F: FnMut(&A) -> AtomId,
+    {
         match wff {
             Formula::Truth(true) => self.true_lit(),
             Formula::Truth(false) => self.true_lit().negate(),
-            Formula::Atom(a) => {
+            Formula::Atom(leaf) => {
+                let a = atom_of(leaf);
                 debug_assert!(
                     a.index() < self.num_atoms,
                     "atom {a:?} outside declared universe of {}",
@@ -111,23 +122,23 @@ impl Tseitin {
                 );
                 Lit::pos(Var(a.0))
             }
-            Formula::Not(x) => self.encode(x).negate(),
+            Formula::Not(x) => self.encode_with(x, atom_of).negate(),
             Formula::And(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|x| self.encode(x)).collect();
+                let lits: Vec<Lit> = xs.iter().map(|x| self.encode_with(x, atom_of)).collect();
                 self.encode_and(&lits)
             }
             Formula::Or(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|x| self.encode(x)).collect();
+                let lits: Vec<Lit> = xs.iter().map(|x| self.encode_with(x, atom_of)).collect();
                 self.encode_or(&lits)
             }
             Formula::Implies(a, b) => {
-                let la = self.encode(a).negate();
-                let lb = self.encode(b);
+                let la = self.encode_with(a, atom_of).negate();
+                let lb = self.encode_with(b, atom_of);
                 self.encode_or(&[la, lb])
             }
             Formula::Iff(a, b) => {
-                let la = self.encode(a);
-                let lb = self.encode(b);
+                let la = self.encode_with(a, atom_of);
+                let lb = self.encode_with(b, atom_of);
                 let v = self.fresh();
                 let lv = Lit::pos(v);
                 // v ↔ (la ↔ lb)
@@ -180,26 +191,35 @@ impl Tseitin {
 
     /// Asserts that `wff` is true.
     pub fn assert_true(&mut self, wff: &Wff) {
+        self.assert_true_with(wff, &mut |a: &AtomId| *a);
+    }
+
+    /// Asserts that a formula over any leaf type is true, mapping leaves
+    /// to atoms with `atom_of` (see [`Tseitin::encode_with`]).
+    pub fn assert_true_with<A, F>(&mut self, wff: &Formula<A>, atom_of: &mut F)
+    where
+        F: FnMut(&A) -> AtomId,
+    {
         // Shortcut top-level conjunctions to avoid needless aux variables.
         match wff {
             Formula::Truth(true) => {}
             Formula::Truth(false) => self.clauses.push(Vec::new()),
             Formula::And(xs) => {
                 for x in xs {
-                    self.assert_true(x);
+                    self.assert_true_with(x, atom_of);
                 }
             }
             Formula::Or(xs) => {
-                let lits: Vec<Lit> = xs.iter().map(|x| self.encode(x)).collect();
+                let lits: Vec<Lit> = xs.iter().map(|x| self.encode_with(x, atom_of)).collect();
                 self.clauses.push(lits);
             }
             Formula::Implies(a, b) => {
-                let la = self.encode(a).negate();
-                let lb = self.encode(b);
+                let la = self.encode_with(a, atom_of).negate();
+                let lb = self.encode_with(b, atom_of);
                 self.clauses.push(vec![la, lb]);
             }
             other => {
-                let l = self.encode(other);
+                let l = self.encode_with(other, atom_of);
                 self.clauses.push(vec![l]);
             }
         }
@@ -261,7 +281,6 @@ pub fn equivalent(a: &Wff, b: &Wff, num_atoms: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AtomId;
 
     fn a(i: u32) -> Wff {
         Formula::Atom(AtomId(i))

@@ -6,13 +6,30 @@
 //! finite atom universe these are propositional problems; this module
 //! provides a conflict-driven clause-learning solver in the MiniSat style:
 //! two-watched-literal unit propagation, first-UIP conflict analysis with
-//! backjumping, and VSIDS-like variable activities.
+//! backjumping, and VSIDS variable activities kept in an order heap.
 //!
-//! The solver is deliberately one-shot per query: callers build a solver,
-//! add clauses, and call [`Solver::solve`]. Model enumeration re-uses one
-//! solver by adding blocking clauses between calls (see
-//! [`crate::enumerate`]); [`Solver::add_clause`] backtracks to the root
-//! level first, which makes that safe.
+//! The solver is incremental: clauses and root units may be added between
+//! solves ([`Solver::add_clause`] and [`Solver::add_unit`] backtrack to the
+//! root level first), and each solve runs under its own assumptions. Two
+//! invariants keep a solve on a warm solver proportional to the query, not
+//! to the clause database:
+//!
+//! * **The root trail is always fully propagated.** Every root-level
+//!   assignment (a unit clause, a learnt unit) is propagated to fixpoint
+//!   when it is made, so a solve starts from the trail's end instead of
+//!   re-propagating every root fact.
+//! * **Decisions come from an order heap.** A variable becomes a
+//!   *decision variable* when it first occurs in a clause of two or more
+//!   literals; every unassigned decision variable sits in a binary
+//!   max-heap keyed by activity (ties to the lower index), so a decision
+//!   pops the heap instead of scanning every variable. Variables that only
+//!   ever occur in unit clauses never enter the heap, and a variable in no
+//!   clause at all is unconstrained: a model gives it its saved phase.
+//!   Variables assigned at the root leave the heap lazily, and the heap is
+//!   compacted in one linear pass once they make up half of it.
+//!
+//! [`Solver::satisfiable_with`] answers SAT/UNSAT only; [`Solver::solve_with`]
+//! also returns the model, which costs one pass over the variables.
 
 use std::fmt;
 
@@ -111,6 +128,8 @@ impl SatResult {
 
 const ACTIVITY_DECAY: f64 = 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
+/// Marks a variable that is not in the order heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// A CDCL SAT solver.
 ///
@@ -138,9 +157,22 @@ pub struct Solver {
     trail: Vec<Lit>,
     /// `trail_lim[d]` = trail length when decision level `d+1` began.
     trail_lim: Vec<usize>,
+    /// Trail position of the next literal to propagate. At the root level
+    /// between calls it equals the trail length: the root trail is always
+    /// fully propagated.
     prop_head: usize,
     activity: Vec<f64>,
     act_inc: f64,
+    /// Decision order: a binary max-heap of variables by activity. Holds
+    /// every unassigned decision variable, plus root-assigned ones not yet
+    /// dropped.
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`NOT_IN_HEAP`].
+    heap_pos: Vec<u32>,
+    /// Root-assigned variables still in `heap`.
+    heap_garbage: usize,
+    /// Whether each variable occurs in a clause of two or more literals.
+    decision: Vec<bool>,
     /// Saved phases for decision polarity.
     phase: Vec<bool>,
     /// `false` once a top-level conflict has been derived.
@@ -171,6 +203,10 @@ impl Solver {
             prop_head: 0,
             activity: vec![0.0; num_vars],
             act_inc: 1.0,
+            heap: Vec::new(),
+            heap_pos: vec![NOT_IN_HEAP; num_vars],
+            heap_garbage: 0,
+            decision: vec![false; num_vars],
             phase: vec![false; num_vars],
             ok: true,
             seen: vec![false; num_vars],
@@ -197,6 +233,8 @@ impl Solver {
             self.activity.resize(n, 0.0);
             self.phase.resize(n, false);
             self.seen.resize(n, false);
+            self.heap_pos.resize(n, NOT_IN_HEAP);
+            self.decision.resize(n, false);
         }
     }
 
@@ -219,6 +257,9 @@ impl Solver {
         if !self.ok {
             return false;
         }
+        if let [l] = lits {
+            return self.add_unit(*l);
+        }
         self.backtrack_to(0);
 
         // Normalize: sort, dedupe, drop root-level-false literals, detect
@@ -226,8 +267,9 @@ impl Solver {
         let mut c: Vec<Lit> = lits.to_vec();
         c.sort_unstable();
         c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
+        let mut kept = 0;
+        for i in 0..c.len() {
+            let l = c[i];
             debug_assert!(l.var().index() < self.num_vars, "literal out of range");
             if i + 1 < c.len() && c[i + 1] == l.negate() {
                 return true; // tautology: trivially satisfied
@@ -235,34 +277,63 @@ impl Solver {
             match self.value(l) {
                 Some(true) => return true, // satisfied at root level
                 Some(false) => {}          // falsified at root: drop
-                None => out.push(l),
+                None => {
+                    c[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match out.len() {
+        c.truncate(kept);
+        match c.len() {
             0 => {
                 self.ok = false;
                 false
             }
-            1 => {
-                self.enqueue(out[0], None);
-                // Propagate eagerly so later add_clause calls see the
-                // consequences at the root level.
+            1 => self.add_unit(c[0]),
+            _ => {
+                self.attach_clause(c);
+                true
+            }
+        }
+    }
+
+    /// Adds the unit clause `lit`: assigns it at the root level and
+    /// propagates it at once, so the root trail stays fully propagated.
+    /// Allocates nothing. Returns `false` if the solver is (or becomes)
+    /// unsatisfiable.
+    pub fn add_unit(&mut self, lit: Lit) -> bool {
+        if !self.ok {
+            return false;
+        }
+        debug_assert!(lit.var().index() < self.num_vars, "literal out of range");
+        self.backtrack_to(0);
+        match self.value(lit) {
+            Some(true) => true,
+            Some(false) => {
+                self.ok = false;
+                false
+            }
+            None => {
+                self.enqueue(lit, None);
                 if self.propagate().is_some() {
                     self.ok = false;
-                    false
-                } else {
-                    true
                 }
-            }
-            _ => {
-                self.attach_clause(out);
-                true
+                self.ok
             }
         }
     }
 
     fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
         debug_assert!(lits.len() >= 2);
+        for &l in &lits {
+            let v = l.var().index();
+            if !self.decision[v] {
+                self.decision[v] = true;
+                if self.assign[v].is_none() {
+                    self.heap_insert(v as u32);
+                }
+            }
+        }
         let idx = self.clauses.len() as u32;
         self.watches[lits[0].code()].push(idx);
         self.watches[lits[1].code()].push(idx);
@@ -273,11 +344,15 @@ impl Solver {
     fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
         debug_assert!(self.value(l).is_none());
         let v = l.var().index();
+        let level = self.current_level();
         self.assign[v] = Some(l.is_pos());
-        self.level[v] = self.current_level();
+        self.level[v] = level;
         self.reason[v] = reason;
         self.phase[v] = l.is_pos();
         self.trail.push(l);
+        if level == 0 && self.heap_pos[v] != NOT_IN_HEAP {
+            self.heap_garbage += 1;
+        }
     }
 
     /// Unit propagation. Returns the index of a conflicting clause, if any.
@@ -336,19 +411,23 @@ impl Solver {
     }
 
     fn backtrack_to(&mut self, target_level: u32) {
-        while self.current_level() > target_level {
-            let start = self.trail_lim.pop().expect("level > 0 implies limit");
-            while self.trail.len() > start {
-                let l = self.trail.pop().expect("trail shrink");
-                let v = l.var().index();
-                self.assign[v] = None;
-                self.reason[v] = None;
+        if self.current_level() <= target_level {
+            return;
+        }
+        let start = self.trail_lim[target_level as usize];
+        self.trail_lim.truncate(target_level as usize);
+        while self.trail.len() > start {
+            let l = self.trail.pop().expect("trail shrink");
+            let v = l.var().index();
+            self.assign[v] = None;
+            self.reason[v] = None;
+            if self.decision[v] {
+                self.heap_insert(v as u32);
             }
         }
-        self.prop_head = self.trail.len().min(self.prop_head);
-        if target_level == 0 {
-            self.prop_head = self.prop_head.min(self.trail.len());
-        }
+        // Everything below `start` was propagated before the first
+        // abandoned level opened.
+        self.prop_head = self.prop_head.min(start);
     }
 
     fn bump_activity(&mut self, v: Var) {
@@ -358,6 +437,105 @@ impl Solver {
                 *a /= ACTIVITY_RESCALE;
             }
             self.act_inc /= ACTIVITY_RESCALE;
+            // Rescaling can flush tiny activities to equal zeros, whose
+            // order the tie-break then decides: re-establish the heap.
+            self.rebuild_heap();
+        } else if self.heap_pos[v.index()] != NOT_IN_HEAP {
+            self.sift_up(self.heap_pos[v.index()] as usize);
+        }
+    }
+
+    // ----- the order heap ------------------------------------------------
+
+    /// Whether variable `a` should be decided before `b`: higher activity
+    /// first, ties to the lower index so the order is deterministic.
+    #[inline]
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn heap_insert(&mut self, v: u32) {
+        if self.heap_pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap_pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn heap_pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.heap_pos[top as usize] = NOT_IN_HEAP;
+        if self.assign[top as usize].is_some() && self.level[top as usize] == 0 {
+            self.heap_garbage -= 1;
+        }
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.heap_pos[last as usize] = 0;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.before(v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.heap_pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.before(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !self.before(c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.heap_pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    /// Drops assigned variables from the heap and re-heapifies what is
+    /// left, in time linear in the heap's length.
+    fn rebuild_heap(&mut self) {
+        let mut heap = std::mem::take(&mut self.heap);
+        for &v in &heap {
+            self.heap_pos[v as usize] = NOT_IN_HEAP;
+        }
+        heap.retain(|&v| self.assign[v as usize].is_none());
+        for (i, &v) in heap.iter().enumerate() {
+            self.heap_pos[v as usize] = i as u32;
+        }
+        self.heap = heap;
+        self.heap_garbage = 0;
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i);
         }
     }
 
@@ -433,25 +611,20 @@ impl Solver {
         (learnt, back_level)
     }
 
+    /// Opens a new decision level on the most active unassigned decision
+    /// variable, with its saved phase. Returns `false` when every decision
+    /// variable is assigned.
     fn decide(&mut self) -> bool {
-        let mut best: Option<usize> = None;
-        let mut best_act = f64::NEG_INFINITY;
-        for v in 0..self.num_vars {
-            if self.assign[v].is_none() && self.activity[v] > best_act {
-                best = Some(v);
-                best_act = self.activity[v];
-            }
-        }
-        match best {
-            None => false,
-            Some(v) => {
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v as usize].is_none() {
                 self.decisions += 1;
                 self.trail_lim.push(self.trail.len());
-                let phase = self.phase[v];
-                self.enqueue(Lit::new(Var(v as u32), phase), None);
-                true
+                let phase = self.phase[v as usize];
+                self.enqueue(Lit::new(Var(v), phase), None);
+                return true;
             }
         }
+        false
     }
 
     /// Runs the CDCL main loop to completion.
@@ -467,20 +640,58 @@ impl Solver {
     ///
     /// Returns `Unsat` when the clauses are unsatisfiable *under the
     /// assumptions*; unless the clause set itself is unsatisfiable, the
-    /// solver remains usable for further calls.
+    /// solver remains usable for further calls. A `Sat` answer carries one
+    /// truth value per variable; callers that need only the verdict use
+    /// [`Solver::satisfiable_with`], which builds no model.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
-        if !self.ok {
+        if !self.search(assumptions) {
             return SatResult::Unsat;
         }
+        // Variables in no clause of two or more literals are left
+        // unassigned by the search; any value satisfies, so take the phase.
+        let model: Vec<bool> = self
+            .assign
+            .iter()
+            .zip(&self.phase)
+            .map(|(v, &phase)| v.unwrap_or(phase))
+            .collect();
+        // Leave the solver clean for the next incremental call.
         self.backtrack_to(0);
-        self.prop_head = 0;
+        SatResult::Sat(model)
+    }
+
+    /// Whether the clauses are satisfiable under `assumptions`: the same
+    /// search as [`Solver::solve_with`] without building the model.
+    pub fn satisfiable_with(&mut self, assumptions: &[Lit]) -> bool {
+        let sat = self.search(assumptions);
+        self.backtrack_to(0);
+        sat
+    }
+
+    /// The CDCL main loop. Returns `true` with every decision variable
+    /// assigned and no conflict (so every clause is satisfied) with the
+    /// assignment still on the trail, or `false` (at the root level) when
+    /// the clauses are unsatisfiable under the assumptions.
+    fn search(&mut self, assumptions: &[Lit]) -> bool {
+        if !self.ok {
+            return false;
+        }
+        self.backtrack_to(0);
+        debug_assert_eq!(self.prop_head, self.trail.len(), "root trail propagated");
+        // Root-assigned variables leave the heap lazily; once they make up
+        // half of it, drop them in one pass over the heap. A variable is
+        // assigned at the root at most once, so this is amortized O(1) per
+        // root assignment.
+        if 2 * self.heap_garbage > self.heap.len() {
+            self.rebuild_heap();
+        }
         loop {
             if let Some(confl) = self.propagate() {
                 self.conflicts += 1;
                 if self.current_level() == 0 {
                     // Conflict below every assumption: globally unsat.
                     self.ok = false;
-                    return SatResult::Unsat;
+                    return false;
                 }
                 let (learnt, back_level) = self.analyze(confl);
                 self.backtrack_to(back_level);
@@ -491,7 +702,7 @@ impl Solver {
                     debug_assert_eq!(self.current_level(), 0);
                     if self.value(asserting) == Some(false) {
                         self.ok = false;
-                        return SatResult::Unsat;
+                        return false;
                     }
                     if self.value(asserting).is_none() {
                         self.enqueue(asserting, None);
@@ -531,21 +742,14 @@ impl Solver {
                     // The clause set (plus earlier assumptions) falsifies
                     // this assumption: unsat under assumptions only.
                     self.backtrack_to(0);
-                    return SatResult::Unsat;
+                    return false;
                 }
                 if installed {
                     continue;
                 }
                 if !self.decide() {
                     // All variables assigned without conflict: a model.
-                    let model: Vec<bool> = self
-                        .assign
-                        .iter()
-                        .map(|v| v.expect("complete assignment"))
-                        .collect();
-                    // Leave the solver clean for the next incremental call.
-                    self.backtrack_to(0);
-                    return SatResult::Sat(model);
+                    return true;
                 }
             }
         }
@@ -930,6 +1134,155 @@ mod tests {
                 assert_eq!(bb, Some(expected), "clauses: {clauses:?} ok: {ok}");
             }
         }
+    }
+
+    /// The solver's between-call invariants: at the root level with the
+    /// root trail fully propagated; the heap ordered and indexed; every
+    /// unassigned decision variable in it; the garbage count exact.
+    fn check_invariants(s: &Solver) {
+        assert_eq!(s.current_level(), 0);
+        assert_eq!(s.prop_head, s.trail.len(), "root trail not propagated");
+        for (i, &v) in s.heap.iter().enumerate() {
+            assert_eq!(s.heap_pos[v as usize], i as u32, "heap index of x{v}");
+            if i > 0 {
+                let parent = s.heap[(i - 1) / 2];
+                assert!(!s.before(v, parent), "x{v} above its parent x{parent}");
+            }
+        }
+        for v in 0..s.num_vars {
+            if s.decision[v] && s.assign[v].is_none() {
+                assert_ne!(s.heap_pos[v], NOT_IN_HEAP, "unassigned x{v} not in heap");
+            }
+        }
+        let garbage = s
+            .heap
+            .iter()
+            .filter(|&&v| s.assign[v as usize].is_some())
+            .count();
+        assert_eq!(garbage, s.heap_garbage);
+    }
+
+    #[test]
+    fn incremental_operations_match_fresh_solvers() {
+        // Random interleavings of add_clause, add_unit, ensure_vars and
+        // assumption solves on one solver. After every solve, a fresh
+        // solver over the clauses so far (assumptions as units) and brute
+        // force must agree on SAT/UNSAT, and a returned model must satisfy
+        // every clause and every assumption. Pins the propagated root
+        // trail (no re-propagation per solve) and the order heap.
+        let mut state = 0x1AC2_E4E7_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut solves = 0;
+        let mut root_growths = 0;
+        for round in 0..300 {
+            let mut nv = 3 + (next() % 5) as usize;
+            let mut s = Solver::new(nv);
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for op in 0..40 {
+                let lit = |next: &mut dyn FnMut() -> u64, nv: usize| {
+                    Lit::new(Var((next() % nv as u64) as u32), next().is_multiple_of(2))
+                };
+                match next() % 12 {
+                    0..=4 => {
+                        let width = 2 + (next() % 2) as usize;
+                        let c: Vec<Lit> = (0..width).map(|_| lit(&mut next, nv)).collect();
+                        s.add_clause(&c);
+                        clauses.push(c);
+                    }
+                    5 => {
+                        let l = lit(&mut next, nv);
+                        s.add_unit(l);
+                        clauses.push(vec![l]);
+                    }
+                    6 => {
+                        nv += 1 + (next() % 2) as usize;
+                        s.ensure_vars(nv);
+                    }
+                    _ => {
+                        let assumptions: Vec<Lit> =
+                            (0..next() % 3).map(|_| lit(&mut next, nv)).collect();
+                        let root_before = s.trail.len();
+                        let want_model = next().is_multiple_of(2);
+                        let (sat, model) = if want_model {
+                            match s.solve_with(&assumptions) {
+                                SatResult::Sat(m) => (true, Some(m)),
+                                SatResult::Unsat => (false, None),
+                            }
+                        } else {
+                            (s.satisfiable_with(&assumptions), None)
+                        };
+                        solves += 1;
+                        if s.ok && s.trail.len() > root_before {
+                            root_growths += 1;
+                        }
+                        let mut fresh = Solver::new(nv);
+                        for c in &clauses {
+                            fresh.add_clause(c);
+                        }
+                        for &a in &assumptions {
+                            fresh.add_unit(a);
+                        }
+                        let reference = fresh.solve().is_sat();
+                        let mut all = clauses.clone();
+                        all.extend(assumptions.iter().map(|&a| vec![a]));
+                        assert_eq!(sat, reference, "round {round} op {op}: vs fresh solver");
+                        assert_eq!(sat, brute_sat(nv, &all), "round {round} op {op}: vs brute");
+                        if let Some(m) = model {
+                            assert_eq!(m.len(), nv);
+                            check_model(&m, &all);
+                        }
+                    }
+                }
+                check_invariants(&s);
+            }
+        }
+        assert!(solves > 1000, "only {solves} solves");
+        // Some solves must have learnt root units, or the root-trail
+        // invariant went untested.
+        assert!(root_growths > 0, "no solve extended the root trail");
+    }
+
+    #[test]
+    fn unconstrained_variables_take_their_phase_and_stay_out_of_the_heap() {
+        // x0 and x1 occur only in units, x3 in nothing: neither kind is a
+        // decision variable, so no solve decides them.
+        let mut s = Solver::new(4);
+        s.add_unit(l(1));
+        s.add_clause(&[l(-2)]);
+        s.add_clause(&[l(3), l(-1)]); // x2 by propagation
+        assert!(s.heap.is_empty());
+        match s.solve() {
+            SatResult::Sat(m) => assert_eq!(m, vec![true, false, true, false]),
+            SatResult::Unsat => panic!("satisfiable"),
+        }
+        assert_eq!(s.decisions, 0);
+        // An assumption on the free variable is honoured and remembered as
+        // its phase.
+        assert!(s.satisfiable_with(&[l(4)]));
+        match s.solve() {
+            SatResult::Sat(m) => assert!(m[3]),
+            SatResult::Unsat => panic!("satisfiable"),
+        }
+    }
+
+    #[test]
+    fn warm_solves_do_not_repropagate_the_root_trail() {
+        // A thousand root facts and one binary clause: after the first
+        // solve, a solve costs the propagations of its own decisions.
+        let mut s = Solver::new(1002);
+        for v in 0..1000 {
+            s.add_unit(Lit::pos(Var(v)));
+        }
+        s.add_clause(&[Lit::pos(Var(1000)), Lit::pos(Var(1001))]);
+        assert!(s.satisfiable_with(&[]));
+        let before = s.propagations;
+        assert!(s.satisfiable_with(&[Lit::neg(Var(1000))]));
+        assert!(s.propagations - before <= 2, "{}", s.propagations - before);
     }
 
     #[test]

@@ -9,23 +9,32 @@
 //! instead:
 //!
 //! * the theory's *base* wffs are encoded **once** as permanent clauses
-//!   ([`EntailmentSession::assert_base`]);
+//!   ([`EntailmentSession::assert_base`]). Unit facts (`a`, `¬a`, and
+//!   conjunctions of them) skip the encoder: each is one root assignment
+//!   in the solver ([`Solver::add_unit`]), with no clause and no
+//!   allocation. A theory loads its store through
+//!   [`EntailmentSession::assert_base_with`], which reads formulas over
+//!   storage slots directly, and [`EntailmentSession::assert_fact`] for
+//!   its pinned-false completion units;
 //! * each query wff is Tseitin-encoded to an **activation literal**
 //!   ([`EntailmentSession::literal_for`]); the definitional clauses
 //!   (`v ↔ subformula`) are pure auxiliary-variable definitions that never
 //!   constrain the atom variables, so they can be added permanently and the
 //!   wff asserted or denied per query purely through assumptions;
-//! * `consistent_with(w)` is one [`Solver::solve_with`] call under
+//! * `consistent_with(w)` is one [`Solver::satisfiable_with`] call under
 //!   `[lit(w)]`, `entails(w)` one call under `[¬lit(w)]` — and the learnt
-//!   clauses from every call stay alive for the next one.
+//!   clauses from every call stay alive for the next one. The solver keeps
+//!   its root trail propagated and picks decisions from an order heap, so
+//!   a solve on a warm session costs what the query touches, not the size
+//!   of the base; verdict-only solves build no model.
 //!
 //! Activation literals are cached per wff, so asking the same question
 //! twice (or asking `consistent_with` and `entails` of the same wff, the
 //! query engine's standard pair) encodes nothing the second time.
 
 use crate::cnf::Tseitin;
-use crate::sat::{Lit, SatResult, Solver};
-use crate::Wff;
+use crate::sat::{Lit, SatResult, Solver, Var};
+use crate::{AtomId, Formula, Wff};
 use rustc_hash::FxHashMap;
 
 /// Counters describing the work a session has performed (and avoided).
@@ -38,7 +47,7 @@ pub struct SessionStats {
     /// Query wffs answered from the activation-literal cache — each one an
     /// entire theory re-encoding the legacy path would have paid.
     pub encode_reuse_hits: u64,
-    /// `solve_with` calls issued.
+    /// Assumption solves issued.
     pub assumption_solves: u64,
 }
 
@@ -117,7 +126,7 @@ impl EntailmentSession {
     /// Flushes clauses accumulated in the encoder into the solver.
     fn flush(&mut self) {
         self.solver.ensure_vars(self.ts.num_vars());
-        for c in self.ts.take_clauses() {
+        for c in self.ts.drain_clauses() {
             if !self.solver.add_clause(&c) {
                 // Root-level conflict: only base clauses can cause this
                 // (definitional clauses always contain a fresh unassigned
@@ -130,9 +139,55 @@ impl EntailmentSession {
 
     /// Asserts `wff` as a permanent part of the base theory.
     pub fn assert_base(&mut self, wff: &Wff) {
-        self.ts.assert_true(wff);
+        self.assert_base_with(wff, &mut |a: &AtomId| *a);
+    }
+
+    /// Asserts a formula over any leaf type as part of the base, mapping
+    /// each leaf to its atom with `atom_of`. Unit parts go to the solver
+    /// as root assignments; only the rest is Tseitin-encoded.
+    pub fn assert_base_with<A, F>(&mut self, wff: &Formula<A>, atom_of: &mut F)
+    where
+        F: FnMut(&A) -> AtomId,
+    {
         self.stats.base_wffs += 1;
-        self.flush();
+        self.assert_part(wff, atom_of);
+    }
+
+    fn assert_part<A, F>(&mut self, wff: &Formula<A>, atom_of: &mut F)
+    where
+        F: FnMut(&A) -> AtomId,
+    {
+        if let Some((leaf, truth)) = unit_literal(wff) {
+            self.unit(atom_of(leaf), truth);
+            return;
+        }
+        match wff {
+            Formula::Truth(true) => {}
+            Formula::And(parts) => {
+                for p in parts {
+                    self.assert_part(p, atom_of);
+                }
+            }
+            other => {
+                self.ts.assert_true_with(other, atom_of);
+                self.flush();
+            }
+        }
+    }
+
+    fn unit(&mut self, atom: AtomId, truth: bool) {
+        debug_assert!(
+            atom.index() < self.num_atoms(),
+            "atom {atom:?} outside the universe"
+        );
+        self.solver.add_unit(Lit::new(Var(atom.0), truth));
+    }
+
+    /// Asserts that `atom` has the truth value `truth` in every model: one
+    /// root assignment, no clause.
+    pub fn assert_fact(&mut self, atom: AtomId, truth: bool) {
+        self.stats.base_wffs += 1;
+        self.unit(atom, truth);
     }
 
     /// The activation literal of `wff`: encoded on first sight, cached
@@ -150,15 +205,17 @@ impl EntailmentSession {
         l
     }
 
-    /// Raw assumption solve, counted in the stats.
+    /// Raw assumption solve returning a model, counted in the stats.
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
         self.stats.assumption_solves += 1;
         self.solver.solve_with(assumptions)
     }
 
-    /// Whether the base plus the assumptions is satisfiable.
+    /// Whether the base plus the assumptions is satisfiable. Builds no
+    /// model.
     pub fn satisfiable_under(&mut self, assumptions: &[Lit]) -> bool {
-        self.solve_under(assumptions).is_sat()
+        self.stats.assumption_solves += 1;
+        self.solver.satisfiable_with(assumptions)
     }
 
     /// Whether the base itself is satisfiable.
@@ -213,6 +270,18 @@ impl EntailmentSession {
         let la = self.literal_for(a);
         let lb = self.literal_for(b);
         !self.satisfiable_under(&[la, lb.negate()]) && !self.satisfiable_under(&[la.negate(), lb])
+    }
+}
+
+/// The leaf and sign of a literal formula (`a` or `¬a`).
+fn unit_literal<A>(wff: &Formula<A>) -> Option<(&A, bool)> {
+    match wff {
+        Formula::Atom(leaf) => Some((leaf, true)),
+        Formula::Not(inner) => match &**inner {
+            Formula::Atom(leaf) => Some((leaf, false)),
+            _ => None,
+        },
+        _ => None,
     }
 }
 

@@ -454,7 +454,7 @@ impl FormulaStore {
     /// Panics if `id` is not live.
     pub fn resolve(&self, id: FormulaId) -> Wff {
         self.body(id)
-            .map_atoms(&mut |s: &SlotId| self.slots[s.index()].atom)
+            .map_atoms(&mut |s: &SlotId| self.slot_atom(*s))
     }
 
     /// Iterates over the live formulas as `(id, wff)`.
@@ -463,9 +463,22 @@ impl FormulaStore {
             let body = sf.body.as_deref()?;
             Some((
                 FormulaId(i as u32),
-                body.map_atoms(&mut |s: &SlotId| self.slots[s.index()].atom),
+                body.map_atoms(&mut |s: &SlotId| self.slot_atom(*s)),
             ))
         })
+    }
+
+    /// The live formula bodies as stored: formulas over slots, with no
+    /// wff materialised. Pair with [`FormulaStore::slot_atom`] to read a
+    /// leaf's atom; this is how a SAT session loads the store in one pass.
+    pub fn bodies(&self) -> impl Iterator<Item = &Formula<SlotId>> + '_ {
+        self.formulas.iter().filter_map(|sf| sf.body.as_deref())
+    }
+
+    /// The atom slot `s` currently displays.
+    #[inline]
+    pub fn slot_atom(&self, s: SlotId) -> AtomId {
+        self.slots[s.index()].atom
     }
 
     /// Materializes all live formulas as wffs over atoms.

@@ -28,7 +28,7 @@ use crate::error::TheoryError;
 use crate::registry::CompletionRegistry;
 use crate::schema::Schema;
 use crate::stats::TheoryStats;
-use crate::store::{FormulaId, FormulaStore};
+use crate::store::{FormulaId, FormulaStore, SlotId};
 use std::sync::Mutex;
 use winslett_logic::{
     enumerate_models, AtomId, AtomTable, BitSet, ConstId, EntailmentSession, GroundAtom,
@@ -251,19 +251,28 @@ impl Theory {
 
     /// The wffs that constrain models: the live non-axiomatic section plus
     /// pinned-false units for atoms outside the completion axioms.
+    ///
+    /// Materialises one wff per stored formula; world enumeration uses it,
+    /// and tests use it as the reference encoding. Entailment sessions load
+    /// the same constraints straight from the store
+    /// ([`Theory::fresh_entailment_session`]).
     pub fn model_constraints(&self) -> Vec<Wff> {
         let mut wffs = self.store.wffs();
-        for (id, ga) in self.atoms.iter() {
-            let kind = self.vocab.predicate(ga.pred).kind;
-            let pinned_false = match kind {
+        wffs.extend(self.pinned_false_atoms().map(|id| Wff::Atom(id).not()));
+        wffs
+    }
+
+    /// The atoms false in every model by completion: visible atoms outside
+    /// the completion axioms, and predicate constants that occur nowhere in
+    /// the section.
+    fn pinned_false_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.atoms.iter().filter_map(|(id, ga)| {
+            let pinned_false = match self.vocab.predicate(ga.pred).kind {
                 PredicateKind::PredicateConstant => !self.store.contains_atom(id),
                 _ => !self.registry.is_registered(id),
             };
-            if pinned_false {
-                wffs.push(Wff::Atom(id).not());
-            }
-        }
-        wffs
+            pinned_false.then_some(id)
+        })
     }
 
     /// Projection mask selecting the externally visible atoms (registered,
@@ -322,10 +331,27 @@ impl Theory {
 
     /// Builds a fresh [`EntailmentSession`] over the current model
     /// constraints, bypassing the cache. Used for per-worker session
-    /// clones in parallel query evaluation and by benchmarks.
+    /// clones in parallel query evaluation, by snapshot readers and by
+    /// benchmarks.
+    ///
+    /// One pass over the atom table and one over the store's live bodies,
+    /// with each leaf's atom read from its slot: pinned-false atoms and
+    /// unit facts become root assignments in the solver, and only
+    /// non-unit formulas are Tseitin-encoded. Nothing is materialised as a
+    /// wff, so the cost is one root assignment per unit and the encoding
+    /// of the non-unit formulas.
     pub fn fresh_entailment_session(&self) -> EntailmentSession {
-        let constraints = self.model_constraints();
-        EntailmentSession::with_base(self.num_atoms(), constraints.iter())
+        let mut session = EntailmentSession::new(self.num_atoms());
+        // Pinned-false units first, so clauses over them load already
+        // shortened.
+        for atom in self.pinned_false_atoms() {
+            session.assert_fact(atom, false);
+        }
+        let store = &self.store;
+        for body in store.bodies() {
+            session.assert_base_with(body, &mut |s: &SlotId| store.slot_atom(*s));
+        }
+        session
     }
 
     /// Runs `f` against the cached entailment session, (re)building it
