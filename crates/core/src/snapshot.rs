@@ -13,26 +13,47 @@
 //! Reading still needs *mutable* machinery — parsing a wff interns atoms,
 //! and SAT solving mutates the solver — so each reader holds a
 //! [`SnapshotReader`]: a private copy of the snapshot's symbol tables plus
-//! a private [`EntailmentSession`] built **once per snapshot** and reused
-//! across every query the connection sends at that generation. Building
-//! the session is the one O(R) step: a pass over the store's slot bodies
-//! that makes one root solver assignment per unit fact and Tseitin-encodes
-//! only the non-unit formulas ([`Theory::fresh_entailment_session`]).
-//! Each query afterwards costs what it touches, not R. Atoms a
-//! query mentions that the snapshot has never interned are outside every
-//! completion axiom, hence false in every world: the reader folds them to
-//! `F` before the session sees them, so answers agree exactly with what
-//! [`LogicalDatabase`](crate::LogicalDatabase) would say if the same
-//! question were asked at that generation.
+//! a private [`EntailmentSession`] reused across every query the
+//! connection sends at that generation. Each query costs what it touches,
+//! not R. Atoms a query mentions that the snapshot has never interned are
+//! outside every completion axiom, hence false in every world: the reader
+//! folds them to `F` before the session sees them, so answers agree
+//! exactly with what [`LogicalDatabase`](crate::LogicalDatabase) would say
+//! if the same question were asked at that generation.
+//!
+//! ## What a reader costs
+//!
+//! * **Building** one ([`SnapshotReader::new`]) is O(R): a pass over the
+//!   store's slot bodies that makes one root solver assignment per unit
+//!   fact and Tseitin-encodes only the non-unit formulas
+//!   ([`Theory::fresh_entailment_session`]), about 35–45 ns per stored
+//!   fact.
+//! * **Advancing** one to a later generation ([`SnapshotReader::advance`])
+//!   is O(changed): [`Theory::delta_since`] diffs the two theories' chunk
+//!   pointers, and only the formulas and pinned-false atoms that changed
+//!   are loaded, each behind its own selector literal in the session it
+//!   already has. A connection that re-pins after every write pays the
+//!   build once, not once per write. An advance falls back to a build
+//!   when the newer theory is not an append-only extension of the older
+//!   one, when a root item of the build would have to go, when the newer
+//!   theory's atoms outgrow the session's spare variables, or when the
+//!   selectors have cost the solves since the build more assumptions than
+//!   the build loaded items (a ski-rental rule: at most twice the cost of
+//!   the best choice in hindsight). A reader from [`SnapshotReader::new`]
+//!   has no spare variables, so readers that never advance pay nothing
+//!   for them; its first advance past a new atom is the rebuild that
+//!   reserves them, as many as the theory has atoms.
 
 use crate::error::DbError;
 use crate::explain::{Explanation, Verdict};
 use crate::query::{Answers, Query};
+use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use winslett_logic::{
-    parse_wff, AtomTable, EntailmentSession, ParseContext, SatResult, SessionStats, Vocabulary, Wff,
+    parse_wff, AtomTable, BitSet, EntailmentSession, Lit, ParseContext, SatResult, SessionStats,
+    Vocabulary, Wff,
 };
-use winslett_theory::Theory;
+use winslett_theory::{SessionItem, Theory, TheoryDelta};
 
 /// An immutable, generation-stamped view of a theory, shared by `Arc`.
 ///
@@ -95,6 +116,9 @@ impl TheorySnapshot {
 /// fact). Every subsequent query is assumption solves against that one
 /// session, each costing what the query touches: the solver never
 /// re-propagates the root facts and picks decisions from an order heap.
+///
+/// [`SnapshotReader::advance`] moves a reader to a later generation for
+/// what changed in between, keeping the session (see the module docs).
 pub struct SnapshotReader {
     snapshot: TheorySnapshot,
     /// Private language copy: interning a query's atoms must not race the
@@ -105,20 +129,108 @@ pub struct SnapshotReader {
     /// Atom-universe size of the underlying theory; atoms interned past
     /// this bound by query parsing are false in every world.
     universe: usize,
+    /// The selector of every item advances loaded. Every other item the
+    /// session holds was loaded at the root by its build.
+    guarded: FxHashMap<SessionItem, Lit>,
+    /// Counters of the sessions this reader rebuilt away from, plus its
+    /// advance and rebuild counts.
+    history: SessionStats,
 }
 
 impl SnapshotReader {
     /// Builds a reader: O(1) copies of the symbol tables, then one pass
     /// over the store to load the session.
     pub fn new(snapshot: TheorySnapshot) -> Self {
+        let session = snapshot.theory().fresh_entailment_session();
+        Self::with_session(snapshot, session, SessionStats::default())
+    }
+
+    fn with_session(
+        snapshot: TheorySnapshot,
+        session: EntailmentSession,
+        history: SessionStats,
+    ) -> Self {
         let theory = snapshot.theory();
         SnapshotReader {
             vocab: theory.vocab.clone(),
             atoms: theory.atoms.clone(),
-            session: theory.fresh_entailment_session(),
+            session,
             universe: theory.num_atoms(),
+            guarded: FxHashMap::default(),
+            history,
             snapshot,
         }
+    }
+
+    /// Moves this reader to `next`, a later snapshot of the same
+    /// database, answering exactly as `SnapshotReader::new(next)` would.
+    ///
+    /// Takes O(1) copy-on-write clones of `next`'s symbol tables and loads
+    /// only the [`Theory::delta_since`] the reader's snapshot into the
+    /// session it has: new items each behind their own selector, and the
+    /// removed ones, if an advance loaded them, retracted. Rebuilds from
+    /// scratch instead when the delta does not exist, removes an item the
+    /// build loaded at the root, names atoms past the session's spare
+    /// variables, or when the live selectors have already cost the solves
+    /// since the build more assumptions than the build loaded items. A
+    /// rebuilt session reserves as many spare atom variables as `next`
+    /// has atoms.
+    pub fn advance(mut self, next: TheorySnapshot) -> SnapshotReader {
+        if Arc::ptr_eq(&self.snapshot.theory, &next.theory) {
+            return self;
+        }
+        let advanced = self.worth_advancing(next.theory())
+            && match next.theory().delta_since(self.snapshot.theory()) {
+                Some(delta) => self.apply(&next, &delta),
+                None => false,
+            };
+        if !advanced {
+            let mut history = self.session_stats();
+            history.rebuilds += 1;
+            // The old session goes before the new one is built, so a
+            // rebuild never holds two. A reader that advances once will
+            // advance again: its rebuilt session reserves as many spare
+            // atom variables as the theory has atoms.
+            drop(self);
+            let theory = next.theory();
+            let session = theory.reserved_entailment_session(theory.num_atoms());
+            return Self::with_session(next, session, history);
+        }
+        self.history.advances += 1;
+        let theory = next.theory();
+        self.vocab = theory.vocab.clone();
+        self.atoms = theory.atoms.clone();
+        self.universe = theory.num_atoms();
+        self.snapshot = next;
+        self
+    }
+
+    /// Whether the session can take `next`'s atoms, and its selectors have
+    /// cost less than a fresh build would.
+    fn worth_advancing(&self, next: &Theory) -> bool {
+        let stats = self.session.stats();
+        next.num_atoms() <= self.session.num_atoms()
+            && stats.selector_assumptions <= stats.base_wffs
+    }
+
+    /// Retracts what `delta` removes and loads what it adds. Returns
+    /// `false` (leaving the session unusable) if a removed item was loaded
+    /// at the root.
+    fn apply(&mut self, next: &TheorySnapshot, delta: &TheoryDelta) -> bool {
+        let removed = delta.removed.iter().map(|&f| SessionItem::Formula(f));
+        let unpinned = delta.unpinned.iter().map(|&a| SessionItem::PinnedFalse(a));
+        for item in removed.chain(unpinned) {
+            match self.guarded.remove(&item) {
+                Some(selector) => self.session.retract(selector),
+                None => return false,
+            }
+        }
+        let guarded = &mut self.guarded;
+        next.theory()
+            .load_delta(&mut self.session, delta, &mut |item, selector| {
+                guarded.insert(item, selector);
+            });
+        true
     }
 
     /// The generation this reader is pinned at.
@@ -131,9 +243,19 @@ impl SnapshotReader {
         &self.snapshot
     }
 
-    /// Work counters of the private session.
+    /// Work counters of the private session, summed with those of the
+    /// sessions this reader replaced by rebuilding, plus how many times it
+    /// advanced and rebuilt.
     pub fn session_stats(&self) -> SessionStats {
-        self.session.stats()
+        let mut stats = self.history;
+        stats.accumulate(&self.session.stats());
+        stats
+    }
+
+    /// Unit propagations the private session's solver has made: a
+    /// deterministic measure of solving work, for cost tests.
+    pub fn propagations(&self) -> u64 {
+        self.session.propagations()
     }
 
     /// Parses a ground wff strictly against the private symbol tables and
@@ -176,14 +298,19 @@ impl SnapshotReader {
     pub fn explain(&mut self, src: &str) -> Result<Explanation, DbError> {
         let wff = self.parse(src)?;
         let l = self.session.literal_for(&wff);
-        let witness = match self.session.solve_under(&[l]) {
-            SatResult::Sat(model) => Some(self.snapshot.theory().project_model_to_world(&model)),
+        let theory = self.snapshot.theory();
+        // The visible-atom mask is one pass over the atoms: made once, and
+        // only if some model needs projecting.
+        let mut visible: Option<BitSet> = None;
+        let mut project = |result: SatResult| match result {
+            SatResult::Sat(model) => {
+                let mask = visible.get_or_insert_with(|| theory.visible_projection());
+                Some(theory.project_model(&model, mask))
+            }
             SatResult::Unsat => None,
         };
-        let counter = match self.session.solve_under(&[l.negate()]) {
-            SatResult::Sat(model) => Some(self.snapshot.theory().project_model_to_world(&model)),
-            SatResult::Unsat => None,
-        };
+        let witness = project(self.session.solve_under(&[l]));
+        let counter = project(self.session.solve_under(&[l.negate()]));
         let verdict = match (&witness, &counter) {
             (Some(_), Some(_)) => Verdict::Uncertain,
             (Some(_), None) => Verdict::Certain,
@@ -407,6 +534,66 @@ mod tests {
         // The wff was encoded once; later asks hit the literal cache.
         assert_eq!(stats.encoded_wffs, 1);
         assert!(stats.encode_reuse_hits >= 2);
+    }
+
+    #[test]
+    fn advance_follows_writes_and_rebuilds_only_when_it_must() {
+        // A base large enough that the spare variables and the rebuild
+        // rule leave room for the advances below.
+        let mut db = orders_db();
+        for i in 0..256 {
+            db.load_fact("Orders", &[&format!("{}", 1000 + i), "32", "9"])
+                .unwrap();
+        }
+        for c in ["100", "200", "7"] {
+            db.theory_mut().constant(c);
+        }
+        let mut reader = TheorySnapshot::capture(db.theory()).reader();
+        let probes = [
+            "Orders(700,32,9)",
+            "Orders(100,32,1)",
+            "Orders(100,32,1) | Orders(100,32,7)",
+            "InStock(32,1) & !Orders(100,32,7)",
+        ];
+        let steps = [
+            // The first advance rebuilds: a reader from `new` has no
+            // spare atom variables for the tuple.
+            "INSERT Orders(200,32,9) WHERE T",
+            // A fresh tuple and a branching insert: loaded guarded.
+            "INSERT Orders(100,32,1) WHERE T",
+            "INSERT Orders(100,32,7) | Orders(200,32,7) WHERE T",
+            // Deleting a tuple inserted after the build retracts it.
+            "DELETE Orders(100,32,1) WHERE T",
+            // Deleting a base fact takes a root item away: rebuild.
+            "DELETE Orders(700,32,9) WHERE T",
+        ];
+        for step in steps {
+            db.execute(step).unwrap();
+            let snap = TheorySnapshot::capture(db.theory());
+            reader = reader.advance(snap.clone());
+            let mut fresh = snap.reader();
+            assert_eq!(reader.generation(), snap.generation());
+            assert_eq!(reader.is_consistent(), fresh.is_consistent(), "{step}");
+            for probe in probes {
+                assert_eq!(
+                    reader.decide(probe).unwrap(),
+                    fresh.decide(probe).unwrap(),
+                    "{probe} after {step}"
+                );
+                let (a, b) = (
+                    reader.explain(probe).unwrap(),
+                    fresh.explain(probe).unwrap(),
+                );
+                assert_eq!(a.verdict, b.verdict, "{probe} after {step}");
+            }
+        }
+        let stats = reader.session_stats();
+        assert_eq!((stats.advances, stats.rebuilds), (3, 2), "{stats:?}");
+        assert!(stats.retractions > 0, "{stats:?}");
+        // Advancing to the snapshot a reader already holds changes nothing.
+        let same = reader.snapshot().clone();
+        let stats = reader.session_stats();
+        assert_eq!(reader.advance(same).session_stats(), stats);
     }
 
     #[test]

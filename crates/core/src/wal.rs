@@ -918,8 +918,8 @@ enum TxnJournalErr {
     /// The statement was refused; the workspace was restored and the
     /// transaction stays open.
     Refused(DbError),
-    /// The workspace could not be restored after a refused apply; the
-    /// transaction must self-abort.
+    /// The workspace could not be restored after a refused apply, or a
+    /// refresh left it partly refreshed; the transaction must self-abort.
     Broken(DbError),
 }
 
@@ -1413,7 +1413,13 @@ impl<S: Storage> DurableDatabase<S> {
     /// Fallback when the delta was evicted (or a delta op refuses):
     /// fresh clone plus redo replay. Either way the refreshed view
     /// agrees with the old one on every atom the transaction touches.
-    fn refresh_workspace(&mut self, state: &mut OpenTxn) -> Result<(), DbError> {
+    ///
+    /// A failed rebuild leaves the workspace as it was, which is
+    /// [`TxnJournalErr::Refused`] — unless a failed delta replay had
+    /// already changed it: that partly refreshed workspace still carries
+    /// the old `basis_version`, so a retry would replay part of the delta
+    /// twice, and the error is [`TxnJournalErr::Broken`].
+    fn refresh_workspace(&mut self, state: &mut OpenTxn) -> Result<(), TxnJournalErr> {
         if state.basis_version == self.applied_version {
             return Ok(());
         }
@@ -1427,12 +1433,14 @@ impl<S: Storage> DurableDatabase<S> {
         };
         // Both paths cost one replayed op per record; take the shorter
         // list (the rebuild's clone is worth about one op).
+        let mut touched = false;
         if delta_len <= state.ops.len() + 1 {
             let mut ok = true;
             for (v, r) in &self.recent {
                 if *v <= state.basis_version {
                     continue;
                 }
+                touched = true;
                 if apply_record(&mut state.workspace, r).is_err() {
                     ok = false;
                     break;
@@ -1447,7 +1455,13 @@ impl<S: Storage> DurableDatabase<S> {
         }
         let mut ws = self.db.clone();
         for op in &state.ops {
-            apply_record(&mut ws, op)?;
+            apply_record(&mut ws, op).map_err(|e| {
+                if touched {
+                    TxnJournalErr::Broken(e)
+                } else {
+                    TxnJournalErr::Refused(e)
+                }
+            })?;
         }
         state.workspace = ws;
         state.basis_version = self.applied_version;
@@ -1542,8 +1556,9 @@ impl<S: Storage> DurableDatabase<S> {
         let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
         if refresh {
             if let Err(e) = self.refresh_workspace(&mut state) {
-                self.txns.insert(txn, state);
-                return Err(e);
+                // A workspace the refresh broke is not put back: the
+                // transaction self-aborts, as after a failed restore.
+                return self.txn_settle(txn, state, Err(e));
             }
         }
         Ok(state)
@@ -1662,7 +1677,9 @@ impl<S: Storage> DurableDatabase<S> {
     /// state untouched and aborts the transaction instead.
     pub fn txn_commit(&mut self, txn: u64) -> Result<(u64, usize), DbError> {
         let mut state = self.txns.remove(&txn).ok_or(DbError::TxnUnknown { txn })?;
-        if let Err(e) = self.refresh_workspace(&mut state) {
+        if let Err(TxnJournalErr::Refused(e) | TxnJournalErr::Broken(e)) =
+            self.refresh_workspace(&mut state)
+        {
             if self.append_entry(WalRecord::TxnAbort(txn)).is_ok() {
                 let _ = self.sync();
             }
@@ -2988,6 +3005,63 @@ mod tests {
         ddb.txn_commit(txn).unwrap();
         let live = world_set(ddb.db());
         let (recovered, _) = reopen(ddb.into_storage());
+        assert_eq!(world_set(recovered.db()), live);
+    }
+
+    #[test]
+    fn txn_aborts_when_a_failed_refresh_leaves_its_workspace_half_caught_up() {
+        let mut ddb = seeded(opts_nocompact());
+        let txn = ddb.txn_begin().unwrap();
+        ddb.txn_execute(txn, "INSERT Orders(5,5,5) WHERE T")
+            .unwrap();
+        // Two foreign commits: short enough for the delta replay.
+        ddb.execute("INSERT Orders(6,6,6) WHERE T").unwrap();
+        ddb.execute("INSERT Orders(7,7,7) WHERE T").unwrap();
+        let live = world_set(ddb.db());
+        let basis = ddb.txns[&txn].basis_version;
+        let records: Vec<WalRecord> = ddb
+            .recent
+            .iter()
+            .filter(|(v, _)| *v > basis)
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(records.len(), 2);
+        // Quota the workspace's store at the fewest live formulas that
+        // still take the first foreign record, so the second one fails.
+        let workspace = &ddb.txns[&txn].workspace;
+        let fits = |quota: u32, n: usize| {
+            let mut probe = workspace.clone();
+            probe.theory_mut().store.set_capacity(u32::MAX, quota);
+            records[..n]
+                .iter()
+                .all(|r| apply_record(&mut probe, r).is_ok())
+        };
+        let quota = (0..u32::MAX).find(|&q| fits(q, 1)).unwrap();
+        assert!(!fits(quota, 2), "the second record must overflow the quota");
+        let state = ddb.txns.get_mut(&txn).unwrap();
+        state
+            .workspace
+            .theory_mut()
+            .store
+            .set_capacity(u32::MAX, quota);
+        // And the fallback rebuild cannot redo the transaction's insert.
+        let full = ddb.db().theory().store.len() as u32;
+        ddb.db_mut().theory_mut().store.set_capacity(u32::MAX, full);
+        assert!(ddb
+            .txn_execute(txn, "INSERT Orders(8,8,8) WHERE T")
+            .is_err());
+        // The half-refreshed workspace is gone, not kept for a retry that
+        // would replay the first foreign record twice.
+        assert!(!ddb.txn_open(txn));
+        assert!(matches!(
+            ddb.txn_commit(txn),
+            Err(DbError::TxnUnknown { .. })
+        ));
+        assert_eq!(world_set(ddb.db()), live);
+        // The abort marker is journaled: recovery sees a finished
+        // transaction, not one to roll back, and none of its effects.
+        let (recovered, report) = reopen(ddb.into_storage());
+        assert_eq!(report.rolled_back, 0);
         assert_eq!(world_set(recovered.db()), live);
     }
 

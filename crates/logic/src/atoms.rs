@@ -133,6 +133,17 @@ impl AtomTable {
             .map(|(i, a)| (AtomId(i as u32), a))
     }
 
+    /// Whether this table is `older` with atoms appended: every atom of
+    /// `older` has the same id here. Only the chunks the two tables do not
+    /// share are compared, so a table diffed against its own earlier
+    /// clone costs O(len / CHUNK) pointer checks plus one chunk.
+    pub fn extends(&self, older: &AtomTable) -> bool {
+        self.len() >= older.len()
+            && self.atoms.changed_ranges(&older.atoms).all(|range| {
+                (range.start..range.end.min(older.len())).all(|i| self.atoms[i] == older.atoms[i])
+            })
+    }
+
     /// Whether `id` denotes a predicate-constant occurrence (checked against
     /// the vocabulary's predicate kinds).
     pub fn is_predicate_constant(&self, id: AtomId, vocab: &Vocabulary) -> bool {
@@ -204,6 +215,26 @@ mod tests {
         let pa = t.intern(GroundAtom::nullary(pc));
         assert!(!t.is_predicate_constant(ra, &v));
         assert!(t.is_predicate_constant(pa, &v));
+    }
+
+    #[test]
+    fn extends_accepts_appends_and_rejects_other_tables() {
+        let (_, p, cs) = vocab_with_orders();
+        let mut t = AtomTable::new();
+        for i in 0..300 {
+            t.intern_app(p, &[cs[0], cs[1], ConstId(i)]);
+        }
+        let older = t.clone();
+        t.intern_app(p, &[cs[2], cs[2], cs[2]]);
+        assert!(t.extends(&older));
+        assert!(t.extends(&t.clone()));
+        assert!(!older.extends(&t), "a shorter table extends nothing longer");
+        // Same length, one atom different: not an extension.
+        let mut other = AtomTable::new();
+        for i in 0..300 {
+            other.intern_app(p, &[cs[0], cs[1], ConstId(if i == 7 { 999 } else { i })]);
+        }
+        assert!(!other.extends(&older));
     }
 
     #[test]

@@ -80,7 +80,9 @@ impl Tseitin {
         self.clauses.drain(..)
     }
 
-    fn fresh(&mut self) -> Var {
+    /// Allocates a fresh variable above the atom universe and every
+    /// variable allocated so far — an auxiliary, or a session's selector.
+    pub(crate) fn fresh(&mut self) -> Var {
         let v = Var(self.next_var);
         self.next_var += 1;
         v

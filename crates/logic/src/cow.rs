@@ -113,6 +113,30 @@ impl<T> ChunkedVec<T> {
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + '_ {
         self.chunks.iter().flat_map(|c| c.iter())
     }
+
+    /// The index ranges, one per chunk, where `self` may differ from
+    /// `older`: the chunks the two do not share, and the chunks only one
+    /// of them has. A shared chunk proves its elements equal, so two
+    /// versions of one vector are diffed in O(len / CHUNK) pointer
+    /// comparisons plus whatever the caller does with the ranges. Each
+    /// range is clipped to the longer vector's length.
+    pub fn changed_ranges<'a>(
+        &'a self,
+        older: &'a Self,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+        let chunks = if Arc::ptr_eq(&self.chunks, &older.chunks) && self.len == older.len {
+            0
+        } else {
+            self.chunks.len().max(older.chunks.len())
+        };
+        let len = self.len.max(older.len);
+        (0..chunks)
+            .filter(move |&i| match (self.chunks.get(i), older.chunks.get(i)) {
+                (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
+                _ => true,
+            })
+            .map(move |i| i * CHUNK..((i + 1) * CHUNK).min(len))
+    }
 }
 
 impl<T: Clone> ChunkedVec<T> {
@@ -587,6 +611,11 @@ mod tests {
         // Untouched chunks are still shared.
         assert!(Arc::ptr_eq(&v.chunks[2], &snapshot.chunks[2]));
         assert!(!Arc::ptr_eq(&v.chunks[0], &snapshot.chunks[0]));
+        // The diff names exactly the written chunk and the one the push
+        // copied (1000 elements end in chunk 3).
+        let changed: Vec<_> = v.changed_ranges(&snapshot).collect();
+        assert_eq!(changed, vec![0..CHUNK, 3 * CHUNK..1001]);
+        assert_eq!(snapshot.changed_ranges(&snapshot.clone()).count(), 0);
     }
 
     #[test]

@@ -31,6 +31,36 @@
 //! Activation literals are cached per wff, so asking the same question
 //! twice (or asking `consistent_with` and `entails` of the same wff, the
 //! query engine's standard pair) encodes nothing the second time.
+//!
+//! ## Guarded items: following a base that changes
+//!
+//! A snapshot reader moves its session from one theory generation to the
+//! next by loading only what changed. Root facts and clauses cannot be
+//! taken back, so what an advance loads goes in *guarded*, the standard
+//! activation-literal scheme for incremental SAT (Eén & Sörensson,
+//! *Temporal Induction by Incremental SAT Solving*, 2003):
+//!
+//! * each guarded item gets its own fresh **selector** `s` and is asserted
+//!   as `¬s ∨ item` ([`EntailmentSession::assert_guarded_with`],
+//!   [`EntailmentSession::guard_fact`]);
+//! * every solve the session runs assumes all live selectors before its
+//!   own assumptions, so the live guarded items hold in every answer;
+//! * retracting an item ([`EntailmentSession::retract`]) adds the root
+//!   unit `¬s`, which satisfies its clauses for good. Learnt clauses stay
+//!   sound: they follow from the clause database, and any of them that
+//!   used a guarded clause carries `¬s`.
+//!
+//! Items loaded at the root cannot be retracted; a caller that needs one
+//! gone builds a fresh session. Each live selector costs every solve one
+//! assumption, counted in [`SessionStats::selector_assumptions`]; a
+//! snapshot reader rebuilds once that count passes the number of items
+//! its build loaded (a ski-rental rule, at most twice the better choice).
+//!
+//! Atom ids are variable ids. A session created over more atoms than its
+//! theory interns has spare atom variables that occur in no clause (so
+//! no solve decides on them); a reader loads atoms later generations
+//! intern into them without renumbering, and Tseitin auxiliaries and
+//! selectors are numbered above them.
 
 use crate::cnf::Tseitin;
 use crate::sat::{Lit, SatResult, Solver, Var};
@@ -42,6 +72,10 @@ use rustc_hash::FxHashMap;
 pub struct SessionStats {
     /// Base wffs asserted as permanent clauses.
     pub base_wffs: u64,
+    /// Items asserted behind their own selector literal.
+    pub guarded_items: u64,
+    /// Guarded items retracted.
+    pub retractions: u64,
     /// Query wffs freshly Tseitin-encoded to an activation literal.
     pub encoded_wffs: u64,
     /// Query wffs answered from the activation-literal cache — each one an
@@ -49,6 +83,29 @@ pub struct SessionStats {
     pub encode_reuse_hits: u64,
     /// Assumption solves issued.
     pub assumption_solves: u64,
+    /// Live selectors assumed, summed over solves.
+    pub selector_assumptions: u64,
+    /// Generations a reader moved this session to by loading the
+    /// difference (set by the reader, not the session).
+    pub advances: u64,
+    /// Generations a reader moved to by building a fresh session instead
+    /// (set by the reader, not the session).
+    pub rebuilds: u64,
+}
+
+impl SessionStats {
+    /// Adds `other`'s counters to these.
+    pub fn accumulate(&mut self, other: &SessionStats) {
+        self.base_wffs += other.base_wffs;
+        self.guarded_items += other.guarded_items;
+        self.retractions += other.retractions;
+        self.encoded_wffs += other.encoded_wffs;
+        self.encode_reuse_hits += other.encode_reuse_hits;
+        self.assumption_solves += other.assumption_solves;
+        self.selector_assumptions += other.selector_assumptions;
+        self.advances += other.advances;
+        self.rebuilds += other.rebuilds;
+    }
 }
 
 /// A persistent incremental entailment engine over a fixed atom universe.
@@ -72,6 +129,11 @@ pub struct EntailmentSession {
     /// Activation literal of every wff encoded so far.
     lits: FxHashMap<Wff, Lit>,
     stats: SessionStats,
+    /// Selectors of the live guarded items, assumed by every solve.
+    selectors: Vec<Lit>,
+    /// Scratch for a solve's assumptions: the selectors, then the
+    /// caller's.
+    staged: Vec<Lit>,
 }
 
 impl EntailmentSession {
@@ -84,6 +146,8 @@ impl EntailmentSession {
             solver: Solver::new(num_atoms),
             lits: FxHashMap::default(),
             stats: SessionStats::default(),
+            selectors: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
@@ -109,6 +173,12 @@ impl EntailmentSession {
         self.stats
     }
 
+    /// Unit propagations the solver has made: a deterministic measure of
+    /// solving work.
+    pub fn propagations(&self) -> u64 {
+        self.solver.propagations
+    }
+
     /// Clauses the solver has learnt and retained across queries.
     pub fn learned_retained(&self) -> u64 {
         self.solver.learnt_clauses
@@ -119,6 +189,8 @@ impl EntailmentSession {
     /// session's clause database and learnt clauses. Adding clauses through
     /// it is safe as long as they are consequences of (or definitions over)
     /// the base — query activation literals must stay unconstrained.
+    /// Solves run through it do not assume the live selectors, so they see
+    /// the root base only.
     pub fn solver_mut(&mut self) -> &mut Solver {
         &mut self.solver
     }
@@ -175,12 +247,16 @@ impl EntailmentSession {
         }
     }
 
-    fn unit(&mut self, atom: AtomId, truth: bool) {
+    fn atom_lit(&self, atom: AtomId, truth: bool) -> Lit {
         debug_assert!(
             atom.index() < self.num_atoms(),
             "atom {atom:?} outside the universe"
         );
-        self.solver.add_unit(Lit::new(Var(atom.0), truth));
+        Lit::new(Var(atom.0), truth)
+    }
+
+    fn unit(&mut self, atom: AtomId, truth: bool) {
+        self.solver.add_unit(self.atom_lit(atom, truth));
     }
 
     /// Asserts that `atom` has the truth value `truth` in every model: one
@@ -188,6 +264,91 @@ impl EntailmentSession {
     pub fn assert_fact(&mut self, atom: AtomId, truth: bool) {
         self.stats.base_wffs += 1;
         self.unit(atom, truth);
+    }
+
+    /// A fresh selector, live from now on.
+    fn selector(&mut self) -> Lit {
+        self.stats.guarded_items += 1;
+        let s = Lit::pos(self.ts.fresh());
+        self.solver.ensure_vars(self.ts.num_vars());
+        self.selectors.push(s);
+        s
+    }
+
+    /// Asserts a formula over any leaf type behind a fresh selector `s`,
+    /// as `¬s ∨ wff`, and returns `s`. Every later solve assumes `s` until
+    /// [`EntailmentSession::retract`] takes it back.
+    pub fn assert_guarded_with<A, F>(&mut self, wff: &Formula<A>, atom_of: &mut F) -> Lit
+    where
+        F: FnMut(&A) -> AtomId,
+    {
+        let s = self.selector();
+        self.guard_part(s.negate(), wff, atom_of);
+        s
+    }
+
+    /// Asserts `atom = truth` behind a fresh selector (one binary clause)
+    /// and returns the selector.
+    pub fn guard_fact(&mut self, atom: AtomId, truth: bool) -> Lit {
+        let s = self.selector();
+        let l = self.atom_lit(atom, truth);
+        self.solver.add_clause(&[s.negate(), l]);
+        s
+    }
+
+    /// Adds `off ∨ wff` in clauses: literals and disjunctions directly,
+    /// conjunctions part by part, anything else through one Tseitin
+    /// literal.
+    fn guard_part<A, F>(&mut self, off: Lit, wff: &Formula<A>, atom_of: &mut F)
+    where
+        F: FnMut(&A) -> AtomId,
+    {
+        if let Some((leaf, truth)) = unit_literal(wff) {
+            let l = self.atom_lit(atom_of(leaf), truth);
+            self.solver.add_clause(&[off, l]);
+            return;
+        }
+        match wff {
+            Formula::Truth(true) => {}
+            Formula::And(parts) => {
+                for p in parts {
+                    self.guard_part(off, p, atom_of);
+                }
+            }
+            Formula::Or(parts) => {
+                let mut clause = vec![off];
+                for p in parts {
+                    clause.push(self.ts.encode_with(p, atom_of));
+                }
+                self.flush();
+                self.solver.add_clause(&clause);
+            }
+            other => {
+                let l = self.ts.encode_with(other, atom_of);
+                self.flush();
+                self.solver.add_clause(&[off, l]);
+            }
+        }
+    }
+
+    /// Retracts the guarded item behind `selector`: the root unit `¬s`
+    /// satisfies its clauses, and later solves stop assuming `s`. A
+    /// selector that is not live is ignored.
+    pub fn retract(&mut self, selector: Lit) {
+        if let Some(i) = self.selectors.iter().position(|&s| s == selector) {
+            self.selectors.swap_remove(i);
+            self.stats.retractions += 1;
+            self.solver.add_unit(selector.negate());
+        }
+    }
+
+    /// The live selectors followed by `assumptions`, counted in the stats.
+    fn stage(&mut self, assumptions: &[Lit]) {
+        self.stats.assumption_solves += 1;
+        self.stats.selector_assumptions += self.selectors.len() as u64;
+        self.staged.clear();
+        self.staged.extend_from_slice(&self.selectors);
+        self.staged.extend_from_slice(assumptions);
     }
 
     /// The activation literal of `wff`: encoded on first sight, cached
@@ -205,17 +366,18 @@ impl EntailmentSession {
         l
     }
 
-    /// Raw assumption solve returning a model, counted in the stats.
+    /// Raw assumption solve returning a model, counted in the stats. The
+    /// live selectors are assumed too.
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.stats.assumption_solves += 1;
-        self.solver.solve_with(assumptions)
+        self.stage(assumptions);
+        self.solver.solve_with(&self.staged)
     }
 
-    /// Whether the base plus the assumptions is satisfiable. Builds no
-    /// model.
+    /// Whether the base plus the live guarded items plus the assumptions
+    /// is satisfiable. Builds no model.
     pub fn satisfiable_under(&mut self, assumptions: &[Lit]) -> bool {
-        self.stats.assumption_solves += 1;
-        self.solver.satisfiable_with(assumptions)
+        self.stage(assumptions);
+        self.solver.satisfiable_with(&self.staged)
     }
 
     /// Whether the base itself is satisfiable.
@@ -436,6 +598,64 @@ mod tests {
                     "consistent_with({q:?}) over {base:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn guarded_items_answer_like_a_base_of_the_live_items() {
+        // Random bases at the root, then items guarded and retracted in
+        // random order: every answer must equal the one-shot answer over
+        // the base plus the items still live.
+        let mut state = 0x6A4D_5E1Eu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..60 {
+            let n = 3 + (next() % 4) as usize;
+            let base: Vec<Wff> = (0..(next() % 3))
+                .map(|_| random_wff(&mut next, n, 2))
+                .collect();
+            let mut s = EntailmentSession::with_base(n, base.iter());
+            let mut live: Vec<(Lit, Wff)> = Vec::new();
+            for _ in 0..8 {
+                if !live.is_empty() && next().is_multiple_of(3) {
+                    let i = (next() % live.len() as u64) as usize;
+                    s.retract(live.swap_remove(i).0);
+                } else if next().is_multiple_of(2) {
+                    let atom = AtomId((next() % n as u64) as u32);
+                    let truth = next().is_multiple_of(2);
+                    let item = if truth { a(atom.0) } else { a(atom.0).not() };
+                    live.push((s.guard_fact(atom, truth), item));
+                } else {
+                    let w = random_wff(&mut next, n, 3);
+                    live.push((s.assert_guarded_with(&w, &mut |x: &AtomId| *x), w));
+                }
+                let mut theory = base.clone();
+                theory.extend(live.iter().map(|(_, w)| w.clone()));
+                let refs: Vec<&Wff> = theory.iter().collect();
+                assert_eq!(s.is_consistent(), cnf::satisfiable(&refs, n), "{theory:?}");
+                for _ in 0..3 {
+                    let q = random_wff(&mut next, n, 3);
+                    assert_eq!(
+                        s.entails(&q),
+                        cnf::entails(&refs, &q, n),
+                        "{q:?} {theory:?}"
+                    );
+                    let mut with = theory.clone();
+                    with.push(q.clone());
+                    let with_refs: Vec<&Wff> = with.iter().collect();
+                    assert_eq!(
+                        s.consistent_with(&q),
+                        cnf::satisfiable(&with_refs, n),
+                        "{q:?} {theory:?}"
+                    );
+                }
+            }
+            let stats = s.stats();
+            assert_eq!(stats.guarded_items, stats.retractions + live.len() as u64);
         }
     }
 

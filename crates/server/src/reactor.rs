@@ -286,12 +286,14 @@ pub(crate) enum ReadKind {
 }
 
 /// The session material a read job carries: a warmed-up reader when the
-/// connection had one for the right generation, else the snapshot to
-/// encode a fresh session from (the expensive part — exactly why it runs
-/// off-reactor).
+/// connection had one for the right generation, a reader of an earlier
+/// generation to advance, else the snapshot to encode a fresh session
+/// from (the expensive part — exactly why it runs off-reactor).
 pub(crate) enum ReadSource {
     /// Reuse this session.
     Reader(Box<SnapshotReader>),
+    /// Advance this reader to the snapshot ([`SnapshotReader::advance`]).
+    Advance(Box<SnapshotReader>, TheorySnapshot),
     /// Encode a fresh session from this snapshot.
     Snapshot(TheorySnapshot),
 }
@@ -361,6 +363,7 @@ fn run_read_worker(rx: Arc<Mutex<mpsc::Receiver<ReadTask>>>, completions: Arc<Co
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut reader = match source {
                 ReadSource::Reader(r) => r,
+                ReadSource::Advance(r, s) => Box::new(r.advance(s)),
                 ReadSource::Snapshot(s) => Box::new(s.reader()),
             };
             let resp = eval_read(&mut reader, &kind);
@@ -452,8 +455,13 @@ enum ReaderSlot {
     Empty,
     /// A pin taken but not yet materialized into a session: the snapshot
     /// waits here so `Pin` itself never pays the encode cost on the
-    /// reactor thread — the first read's worker builds the session.
-    Lazy(TheorySnapshot),
+    /// reactor thread — the first read's worker builds the session, or
+    /// advances the connection's reader from its previous pin (`prior`)
+    /// when it had one.
+    Lazy {
+        snapshot: TheorySnapshot,
+        prior: Option<Box<SnapshotReader>>,
+    },
     /// A warmed-up session.
     Ready(Box<SnapshotReader>),
     /// The session is out with a worker.
@@ -989,7 +997,17 @@ impl<R: Role> Reactor<R> {
                     .pinned_generations
                     .fetch_add(1, Ordering::Relaxed);
             }
-            conn.pinned = ReaderSlot::Lazy(view.snapshot);
+            // A re-pin keeps the previous pin's reader, so the first read
+            // advances it by what changed instead of building anew.
+            let prior = match std::mem::replace(&mut conn.pinned, ReaderSlot::Empty) {
+                ReaderSlot::Ready(reader) => Some(reader),
+                ReaderSlot::Lazy { prior, .. } => prior,
+                ReaderSlot::Empty | ReaderSlot::Lent => None,
+            };
+            conn.pinned = ReaderSlot::Lazy {
+                snapshot: view.snapshot,
+                prior,
+            };
         }
         self.reply(token, Response::Pinned(reply));
     }
@@ -1010,7 +1028,14 @@ impl<R: Role> Reactor<R> {
             let (origin, source) = if conn.pinned.holds_pin() {
                 let source = match std::mem::replace(&mut conn.pinned, ReaderSlot::Lent) {
                     ReaderSlot::Ready(reader) => ReadSource::Reader(reader),
-                    ReaderSlot::Lazy(snapshot) => ReadSource::Snapshot(snapshot),
+                    ReaderSlot::Lazy {
+                        snapshot,
+                        prior: Some(reader),
+                    } => ReadSource::Advance(reader, snapshot),
+                    ReaderSlot::Lazy {
+                        snapshot,
+                        prior: None,
+                    } => ReadSource::Snapshot(snapshot),
                     // `Lent` is unreachable: `Await` mode blocks requests
                     // while a session is out. Recover with a re-encode.
                     ReaderSlot::Lent | ReaderSlot::Empty => {
@@ -1125,7 +1150,10 @@ impl<R: Role> Reactor<R> {
                                 // Worker panic ate the session; the pin
                                 // survives as a lazy re-encode. The gauge
                                 // is untouched — the pin is still held.
-                                None => ReaderSlot::Lazy(self.role.published().snapshot),
+                                None => ReaderSlot::Lazy {
+                                    snapshot: self.role.published().snapshot,
+                                    prior: None,
+                                },
                             };
                         }
                         ReadOrigin::Latest => {

@@ -860,7 +860,11 @@ impl ReplicaConnection {
                 .pinned_generations
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.pinned = Some(published.snapshot.reader());
+        // A re-pin advances the previous pin's reader by what changed.
+        self.pinned = Some(match self.pinned.take() {
+            Some(reader) => reader.advance(published.snapshot.clone()),
+            None => published.snapshot.reader(),
+        });
         Response::Pinned(reply)
     }
 

@@ -812,7 +812,11 @@ impl<S: Storage + Send + 'static> Connection<S> {
                 .pinned_generations
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.pinned = Some(published.snapshot.reader());
+        // A re-pin advances the previous pin's reader by what changed.
+        self.pinned = Some(match self.pinned.take() {
+            Some(reader) => reader.advance(published.snapshot.clone()),
+            None => published.snapshot.reader(),
+        });
         Response::Pinned(reply)
     }
 

@@ -35,4 +35,4 @@ pub use registry::CompletionRegistry;
 pub use schema::Schema;
 pub use stats::TheoryStats;
 pub use store::{FormulaId, FormulaStore, SlotId};
-pub use theory::Theory;
+pub use theory::{SessionItem, Theory, TheoryDelta};

@@ -74,6 +74,30 @@ impl CompletionRegistry {
         self.version
     }
 
+    /// The atoms registered here but not in `older`, an earlier version
+    /// of this registry, in id order — or `None` if `older` has a
+    /// registration this registry lacks (they are not one history).
+    /// Compares only the bitset chunks the two do not share: O(R / 16 384)
+    /// pointer checks plus 256 words per changed chunk.
+    pub(crate) fn registered_since(&self, older: &CompletionRegistry) -> Option<Vec<AtomId>> {
+        let mut fresh = Vec::new();
+        for range in self.registered.changed_ranges(&older.registered) {
+            for w in range {
+                let was = older.registered.get(w).copied().unwrap_or(0);
+                let now = self.registered.get(w).copied().unwrap_or(0);
+                if was & !now != 0 {
+                    return None;
+                }
+                let mut bits = now & !was;
+                while bits != 0 {
+                    fresh.push(AtomId((w * 64) as u32 + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+        }
+        Some(fresh)
+    }
+
     /// Registered atoms that mention constant `c` — the constant index used
     /// by GUA Step 5, case (2).
     pub fn atoms_with_constant(&self, c: ConstId) -> impl Iterator<Item = AtomId> + '_ {

@@ -193,6 +193,11 @@ pub struct FormulaStore {
     /// replace_all); feeds [`Theory::generation`](crate::Theory) so cached
     /// entailment sessions notice staleness.
     version: u64,
+    /// Shared by every clone of one store, new for a store built from
+    /// scratch or by [`FormulaStore::replace_all`]: two stores with the
+    /// same lineage are versions of one history, whose formula ids and
+    /// slots mean the same thing, so [`FormulaStore::diff_since`] applies.
+    lineage: Arc<()>,
 }
 
 impl FormulaStore {
@@ -468,11 +473,93 @@ impl FormulaStore {
         })
     }
 
-    /// The live formula bodies as stored: formulas over slots, with no
-    /// wff materialised. Pair with [`FormulaStore::slot_atom`] to read a
-    /// leaf's atom; this is how a SAT session loads the store in one pass.
-    pub fn bodies(&self) -> impl Iterator<Item = &Formula<SlotId>> + '_ {
-        self.formulas.iter().filter_map(|sf| sf.body.as_deref())
+    /// The live formulas with their ids, bodies as stored: formulas over
+    /// slots, with no wff materialised. Pair with
+    /// [`FormulaStore::slot_atom`] to read a leaf's atom; this is how a
+    /// SAT session loads the store in one pass.
+    pub fn live(&self) -> impl Iterator<Item = (FormulaId, &Formula<SlotId>)> + '_ {
+        self.formulas
+            .iter()
+            .enumerate()
+            .filter_map(|(i, sf)| Some((FormulaId(i as u32), sf.body.as_deref()?)))
+    }
+
+    /// The body of formula `id` as stored, if it is live.
+    pub(crate) fn body_of(&self, id: FormulaId) -> Option<&Formula<SlotId>> {
+        self.formulas.get(id.index())?.body.as_deref()
+    }
+
+    /// What changed since `older`, an earlier version of this store:
+    /// pushes to `removed` the formulas of `older` that are gone or no
+    /// longer mean what they meant, and to `added` the formulas of `self`
+    /// that are new or mean something new. Both come out sorted and
+    /// deduplicated. A formula whose body was replaced, or one of whose
+    /// slots now displays another atom, counts as removed and re-added.
+    ///
+    /// Returns `false`, with nothing pushed, when the stores are not
+    /// versions of one history (a [`FormulaStore::replace_all`] or a
+    /// separately built store lies between them).
+    ///
+    /// Only the chunks the two versions do not share are inspected: a
+    /// shared chunk proves its formulas (whose bodies are themselves
+    /// shared) or slots unchanged. So the diff costs O(R / 256) pointer
+    /// comparisons plus O(256) per changed chunk, and the write path keeps
+    /// no log for it.
+    pub(crate) fn diff_since(
+        &self,
+        older: &FormulaStore,
+        removed: &mut Vec<FormulaId>,
+        added: &mut Vec<FormulaId>,
+    ) -> bool {
+        if !Arc::ptr_eq(&self.lineage, &older.lineage) {
+            return false;
+        }
+        let body = |store: &FormulaStore, i: usize| {
+            store
+                .formulas
+                .get(i)
+                .and_then(|sf| sf.body.as_ref().map(Arc::as_ptr))
+        };
+        for range in self.formulas.changed_ranges(&older.formulas) {
+            for i in range {
+                let (was, now) = (body(older, i), body(self, i));
+                if was != now {
+                    removed.extend(was.map(|_| FormulaId(i as u32)));
+                    added.extend(now.map(|_| FormulaId(i as u32)));
+                }
+            }
+        }
+        for range in self.slots.changed_ranges(&older.slots) {
+            for s in range {
+                let (was, now) = (older.slots.get(s), self.slots.get(s));
+                if was.map(|slot| slot.atom) != now.map(|slot| slot.atom) {
+                    removed.extend(was.into_iter().flat_map(|slot| slot.formulas.iter()));
+                    added.extend(now.into_iter().flat_map(|slot| slot.formulas.iter()));
+                }
+            }
+        }
+        for ids in [removed, added] {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        true
+    }
+
+    /// Atoms whose binding to a slot may differ between `older`, an
+    /// earlier version of this store, and `self`: the only atoms whose
+    /// [`FormulaStore::contains_atom`] can differ between the two. Same
+    /// cost shape as [`FormulaStore::diff_since`].
+    pub(crate) fn rebound_since<'a>(
+        &'a self,
+        older: &'a FormulaStore,
+    ) -> impl Iterator<Item = AtomId> + 'a {
+        let (was, now) = (&older.atom_slots.primary, &self.atom_slots.primary);
+        now.changed_ranges(was).flat_map(move |range| {
+            range.filter_map(move |a| {
+                let bound = |t: &ChunkedVec<u32>| t.get(a).is_some_and(|&s| s != NO_SLOT);
+                (bound(was) != bound(now)).then_some(AtomId(a as u32))
+            })
+        })
     }
 
     /// The atom slot `s` currently displays.
@@ -500,6 +587,8 @@ impl FormulaStore {
     pub fn replace_all(&mut self, wffs: &[Wff]) {
         let (max_slots, max_formulas) = (self.max_slots, self.max_formulas);
         let version = self.version;
+        // A fresh store also starts a fresh lineage: ids and slots are
+        // renumbered, so no diff spans the replacement.
         *self = FormulaStore::new();
         self.max_slots = max_slots;
         self.max_formulas = max_formulas;

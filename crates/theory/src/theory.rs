@@ -31,9 +31,45 @@ use crate::stats::TheoryStats;
 use crate::store::{FormulaId, FormulaStore, SlotId};
 use std::sync::Mutex;
 use winslett_logic::{
-    enumerate_models, AtomId, AtomTable, BitSet, ConstId, EntailmentSession, GroundAtom,
-    ModelLimit, PredId, PredicateKind, SessionStats, Vocabulary, Wff,
+    enumerate_models, AtomId, AtomTable, BitSet, ConstId, EntailmentSession, Formula, GroundAtom,
+    Lit, ModelLimit, PredId, PredicateKind, SessionStats, Vocabulary, Wff,
 };
+
+/// One item a read session loads from a theory: a live formula of the
+/// non-axiomatic section, or an atom pinned false by completion.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum SessionItem {
+    /// A live formula, by id.
+    Formula(FormulaId),
+    /// An atom false in every model by completion: a visible atom
+    /// outside the completion axioms, or a predicate constant that occurs
+    /// nowhere in the section.
+    PinnedFalse(AtomId),
+}
+
+/// How [`Theory`]'s session loader asserts what it loads.
+enum Load<'a> {
+    /// Permanently, at the root: a fresh build.
+    Root,
+    /// Each item behind its own selector, handed to the callback with the
+    /// item so the caller can retract it later: an advance.
+    Guarded(&'a mut dyn FnMut(SessionItem, Lit)),
+}
+
+/// What a read session must unload and load to move from one version of a
+/// theory to a later one ([`Theory::delta_since`]).
+#[derive(Default, Debug)]
+pub struct TheoryDelta {
+    /// Formulas of the older theory that are gone or changed meaning.
+    pub removed: Vec<FormulaId>,
+    /// Formulas of the newer theory that are new or changed meaning.
+    pub added: Vec<FormulaId>,
+    /// Atoms pinned false in the older theory and not in the newer.
+    pub unpinned: Vec<AtomId>,
+    /// Atoms pinned false in the newer theory and not in the older,
+    /// including atoms interned after it.
+    pub pinned: Vec<AtomId>,
+}
 
 /// Interior-mutable cache holding the theory's [`EntailmentSession`].
 ///
@@ -262,17 +298,25 @@ impl Theory {
         wffs
     }
 
-    /// The atoms false in every model by completion: visible atoms outside
-    /// the completion axioms, and predicate constants that occur nowhere in
-    /// the section.
+    /// Whether `atom` is false in every model by completion: a visible
+    /// atom outside the completion axioms, or a predicate constant that
+    /// occurs nowhere in the section.
+    fn is_pinned_false(&self, atom: AtomId) -> bool {
+        self.pinned_false(atom, self.atoms.resolve(atom))
+    }
+
+    fn pinned_false(&self, id: AtomId, ga: &GroundAtom) -> bool {
+        match self.vocab.predicate(ga.pred).kind {
+            PredicateKind::PredicateConstant => !self.store.contains_atom(id),
+            _ => !self.registry.is_registered(id),
+        }
+    }
+
+    /// The atoms false in every model by completion.
     fn pinned_false_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
-        self.atoms.iter().filter_map(|(id, ga)| {
-            let pinned_false = match self.vocab.predicate(ga.pred).kind {
-                PredicateKind::PredicateConstant => !self.store.contains_atom(id),
-                _ => !self.registry.is_registered(id),
-            };
-            pinned_false.then_some(id)
-        })
+        self.atoms
+            .iter()
+            .filter_map(|(id, ga)| self.pinned_false(id, ga).then_some(id))
     }
 
     /// Projection mask selecting the externally visible atoms (registered,
@@ -341,17 +385,122 @@ impl Theory {
     /// wff, so the cost is one root assignment per unit and the encoding
     /// of the non-unit formulas.
     pub fn fresh_entailment_session(&self) -> EntailmentSession {
-        let mut session = EntailmentSession::new(self.num_atoms());
+        self.reserved_entailment_session(0)
+    }
+
+    /// [`Theory::fresh_entailment_session`] over an atom universe with
+    /// `spare` variables past this theory's atoms. The spare variables
+    /// keep `variable = atom id` for atoms later generations intern, so a
+    /// snapshot reader can load those atoms into this session when it
+    /// advances. They occur in no clause, so no solve decides on them.
+    pub fn reserved_entailment_session(&self, spare: usize) -> EntailmentSession {
+        let mut session = EntailmentSession::new(self.num_atoms() + spare);
+        self.load(
+            &mut session,
+            self.pinned_false_atoms(),
+            self.store.live(),
+            Load::Root,
+        );
+        session
+    }
+
+    /// Loads the items `delta` adds into `session`, each behind its own
+    /// selector, reporting every item and its selector to `record`. The
+    /// session must hold this theory's predecessor (the older side of
+    /// `delta`) with the items `delta` removes already retracted, and its
+    /// universe must cover this theory's atoms.
+    pub fn load_delta(
+        &self,
+        session: &mut EntailmentSession,
+        delta: &TheoryDelta,
+        record: &mut dyn FnMut(SessionItem, Lit),
+    ) {
+        let formulas = delta.added.iter().map(|&id| {
+            let body = self.store.body_of(id).expect("an added formula is live");
+            (id, body)
+        });
+        self.load(
+            session,
+            delta.pinned.iter().copied(),
+            formulas,
+            Load::Guarded(record),
+        );
+    }
+
+    /// The one session loader, shared by the fresh build and the advance:
+    /// each pinned atom asserted false and each formula true, with each
+    /// leaf's atom read from its slot.
+    fn load<'s>(
+        &'s self,
+        session: &mut EntailmentSession,
+        pinned: impl Iterator<Item = AtomId>,
+        formulas: impl Iterator<Item = (FormulaId, &'s Formula<SlotId>)>,
+        mut how: Load<'_>,
+    ) {
+        let store = &self.store;
+        let atom_of = &mut |s: &SlotId| store.slot_atom(*s);
         // Pinned-false units first, so clauses over them load already
         // shortened.
-        for atom in self.pinned_false_atoms() {
-            session.assert_fact(atom, false);
+        for atom in pinned {
+            match &mut how {
+                Load::Root => session.assert_fact(atom, false),
+                Load::Guarded(record) => {
+                    let s = session.guard_fact(atom, false);
+                    record(SessionItem::PinnedFalse(atom), s);
+                }
+            }
         }
-        let store = &self.store;
-        for body in store.bodies() {
-            session.assert_base_with(body, &mut |s: &SlotId| store.slot_atom(*s));
+        for (id, body) in formulas {
+            match &mut how {
+                Load::Root => session.assert_base_with(body, atom_of),
+                Load::Guarded(record) => {
+                    let s = session.assert_guarded_with(body, atom_of);
+                    record(SessionItem::Formula(id), s);
+                }
+            }
         }
-        session
+    }
+
+    /// What a session loaded from `older` must change to answer for
+    /// `self`, or `None` when `self` is not an append-only extension of
+    /// `older`: its atom table must extend `older`'s, its store must be a
+    /// later version of `older`'s (no [`FormulaStore::replace_all`] or
+    /// restore from a checkpoint image in between), and no registration
+    /// of `older` may be missing.
+    ///
+    /// Every table involved is copy-on-write, and `self` shares every
+    /// chunk it did not write with `older`; the diff compares chunk
+    /// pointers and inspects only the chunks that differ (equal pointers
+    /// prove equal content). It costs O(R / 256 + 256 · changed chunks)
+    /// and needs no log from the write path.
+    pub fn delta_since(&self, older: &Theory) -> Option<TheoryDelta> {
+        let mut delta = TheoryDelta::default();
+        if !self.atoms.extends(&older.atoms)
+            || !self
+                .store
+                .diff_since(&older.store, &mut delta.removed, &mut delta.added)
+        {
+            return None;
+        }
+        let known = older.num_atoms();
+        let mut changed = self.registry.registered_since(&older.registry)?;
+        changed.extend(self.store.rebound_since(&older.store));
+        changed.retain(|a| a.index() < known);
+        changed.sort_unstable();
+        changed.dedup();
+        for atom in changed {
+            match (older.is_pinned_false(atom), self.is_pinned_false(atom)) {
+                (true, false) => delta.unpinned.push(atom),
+                (false, true) => delta.pinned.push(atom),
+                _ => {}
+            }
+        }
+        delta.pinned.extend(
+            (known..self.num_atoms())
+                .map(|i| AtomId(i as u32))
+                .filter(|&atom| self.is_pinned_false(atom)),
+        );
+        Some(delta)
     }
 
     /// Runs `f` against the cached entailment session, (re)building it
@@ -366,11 +515,7 @@ impl Theory {
         if stale {
             if let Some((_, old)) = slot.cached.take() {
                 slot.invalidations += 1;
-                let st = old.stats();
-                slot.retired.base_wffs += st.base_wffs;
-                slot.retired.encoded_wffs += st.encoded_wffs;
-                slot.retired.encode_reuse_hits += st.encode_reuse_hits;
-                slot.retired.assumption_solves += st.assumption_solves;
+                slot.retired.accumulate(&old.stats());
                 slot.retired_learned += old.learned_retained();
             }
             slot.cached = Some((generation, self.fresh_entailment_session()));
@@ -386,11 +531,7 @@ impl Theory {
         let mut total = slot.retired;
         let mut learned = slot.retired_learned;
         if let Some((_, s)) = &slot.cached {
-            let st = s.stats();
-            total.base_wffs += st.base_wffs;
-            total.encoded_wffs += st.encoded_wffs;
-            total.encode_reuse_hits += st.encode_reuse_hits;
-            total.assumption_solves += st.assumption_solves;
+            total.accumulate(&s.stats());
             learned += s.learned_retained();
         }
         (slot.rebuilds, slot.invalidations, total, learned)
@@ -428,10 +569,16 @@ impl Theory {
     /// and the snapshot readers in `winslett-core`, which extract worlds
     /// from their own per-connection sessions.
     pub fn project_model_to_world(&self, model: &[bool]) -> BitSet {
-        let proj = self.visible_projection();
+        self.project_model(model, &self.visible_projection())
+    }
+
+    /// [`Theory::project_model_to_world`] with the
+    /// [`Theory::visible_projection`] mask computed once by the caller,
+    /// for callers projecting several models of one theory.
+    pub fn project_model(&self, model: &[bool], visible: &BitSet) -> BitSet {
         let mut world = BitSet::zeros(self.num_atoms());
         for (i, &truth) in model.iter().enumerate().take(self.num_atoms()) {
-            if truth && proj.get(i) {
+            if truth && visible.get(i) {
                 world.set(i, true);
             }
         }
