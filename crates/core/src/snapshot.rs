@@ -32,9 +32,9 @@
 //!   is O(changed): [`Theory::delta_since`] diffs the two theories' chunk
 //!   pointers, and only the formulas and pinned-false atoms that changed
 //!   are loaded, each behind its own selector literal in the session it
-//!   already has. A connection that re-pins after every write pays the
-//!   build once, not once per write. An advance falls back to a build
-//!   when the newer theory is not an append-only extension of the older
+//!   already has. A connection that re-pins after every write pays a
+//!   build only when an advance falls back to one, which it does when the
+//!   newer theory is not an append-only extension of the older
 //!   one, when a root item of the build would have to go, when the newer
 //!   theory's atoms outgrow the session's spare variables, or when the
 //!   selectors have cost the solves since the build more assumptions than
