@@ -47,27 +47,56 @@ impl GroundAtom {
     }
 }
 
-/// Helper returned by [`GroundAtom::display`].
+/// Helper returned by [`GroundAtom::display`]: renders `P(c1,c2,…)`, or
+/// the bare name for a nullary atom.
 pub struct AtomDisplay<'a> {
     atom: &'a GroundAtom,
     vocab: &'a Vocabulary,
 }
 
-impl fmt::Display for AtomDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let p = self.vocab.predicate(self.atom.pred);
-        write!(f, "{}", p.name)?;
+impl AtomDisplay<'_> {
+    /// Length in bytes of the rendering.
+    fn len(&self) -> usize {
+        let args = &self.atom.args;
+        let name = self.vocab.predicate(self.atom.pred).name.len();
+        if args.is_empty() {
+            return name;
+        }
+        // Parentheses plus one comma between each pair of arguments.
+        let consts: usize = args
+            .iter()
+            .map(|&a| self.vocab.constant_name(a).len())
+            .sum();
+        name + consts + args.len() + 1
+    }
+
+    /// The rendering in a `String` allocated once at its exact length.
+    pub fn to_sized_string(&self) -> String {
+        let mut out = String::with_capacity(self.len());
+        // Writing into a `String` cannot fail.
+        let _ = self.write_to(&mut out);
+        out
+    }
+
+    fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str(&self.vocab.predicate(self.atom.pred).name)?;
         if !self.atom.args.is_empty() {
-            write!(f, "(")?;
+            w.write_str("(")?;
             for (i, a) in self.atom.args.iter().enumerate() {
                 if i > 0 {
-                    write!(f, ",")?;
+                    w.write_str(",")?;
                 }
-                write!(f, "{}", self.vocab.constant_name(*a))?;
+                w.write_str(self.vocab.constant_name(*a))?;
             }
-            write!(f, ")")?;
+            w.write_str(")")?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for AtomDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The wire protocol: length-prefixed, CRC-checked JSON frames.
 //!
 //! Framing deliberately mirrors the WAL record format of
-//! `winslett_core::wal` (and reuses its table-driven CRC32):
+//! `winslett_core::wal` (and reuses its CRC32):
 //!
 //! ```text
 //! ┌───────────────┬───────────────┬─────────────────────┐
@@ -13,6 +13,12 @@
 //! [`Request`] or [`Response`]. Every defect a peer can inflict — torn
 //! header, torn payload, oversized length, checksum mismatch, unparsable
 //! JSON — decodes to a typed [`FrameError`], never a panic.
+//!
+//! Framing a value costs time in proportion to its bytes: the JSON is
+//! written straight into the payload string by the value's own
+//! `serde::Serialize::write_json`, with no intermediate tree, and the CRC
+//! folds the payload eight bytes per step. Decoding parses the payload
+//! into a `serde::Value` tree first and reads the value out of it.
 
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};

@@ -28,7 +28,7 @@ use crate::protocol::{
     decode, ErrorKindWire, ExplainReply, FrameBuf, FrameError, OutBuf, QueryReply, Request,
     Response, SnapshotReply, TruthReply, WalBatchReply, WireError,
 };
-use crate::server::{chunk_entries, wire_error, wire_verdict, HEARTBEAT_INTERVAL};
+use crate::server::{wal_batch_payloads, wire_error, wire_verdict, HEARTBEAT_INTERVAL};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io;
@@ -1234,17 +1234,13 @@ impl<R: Role> Reactor<R> {
                     match rx.try_recv() {
                         Ok(entries) => {
                             *next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
-                            for chunk in chunk_entries(entries) {
-                                if conn
-                                    .wbuf
-                                    .push_value(&Response::WalBatch(WalBatchReply {
-                                        entries: chunk,
-                                    }))
-                                    .is_err()
-                                {
-                                    conn.close_after_flush = true;
-                                    break;
-                                }
+                            let pushed = wal_batch_payloads(entries).and_then(|payloads| {
+                                payloads
+                                    .iter()
+                                    .try_for_each(|p| conn.wbuf.push_frame(p.as_bytes()))
+                            });
+                            if pushed.is_err() {
+                                conn.close_after_flush = true;
                             }
                         }
                         Err(mpsc::TryRecvError::Empty) => break,

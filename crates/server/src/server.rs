@@ -35,9 +35,9 @@
 //!   group-commit buffered WAL records — and hands the storage back.
 
 use crate::protocol::{
-    catchup_frames, read_frame, send, CheckpointReply, ErrorKindWire, ExecReply, ExplainReply,
-    FrameError, QueryReply, Request, Response, SnapshotReply, StatsReply, TruthReply, TxnReply,
-    WalBatchReply, WireError, WireVerdict, MAX_FRAME_LEN,
+    catchup_frames, read_frame, send, write_frame, CheckpointReply, ErrorKindWire, ExecReply,
+    ExplainReply, FrameError, QueryReply, Request, Response, SnapshotReply, StatsReply, TruthReply,
+    TxnReply, WalBatchReply, WireError, WireVerdict, MAX_FRAME_LEN,
 };
 use crate::reactor::{
     Completions, Done, NetCounters, PublishedView, Reactor, ReactorConfig, Role, RoleAction,
@@ -887,28 +887,14 @@ impl<S: Storage + Send + 'static> Connection<S> {
                 return;
             }
         }
-        for chunk in chunk_entries(backlog) {
-            if send(
-                &mut self.stream,
-                &Response::WalBatch(WalBatchReply { entries: chunk }),
-            )
-            .is_err()
-            {
-                return;
-            }
+        if ship_wal_batch(&mut self.stream, backlog).is_err() {
+            return;
         }
         loop {
             match rx.recv_timeout(HEARTBEAT_INTERVAL) {
                 Ok(entries) => {
-                    for chunk in chunk_entries(entries) {
-                        if send(
-                            &mut self.stream,
-                            &Response::WalBatch(WalBatchReply { entries: chunk }),
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
+                    if ship_wal_batch(&mut self.stream, entries).is_err() {
+                        return;
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1497,11 +1483,41 @@ fn notify_shipped<S: Storage>(shared: &Shared<S>) {
     }
 }
 
+/// The frame payloads that ship `entries`. A batch that fits one frame —
+/// every write batch in practice — is encoded once and sent as that one
+/// frame; only a larger one (a long catch-up backlog) falls back to
+/// [`chunk_entries`] and is encoded per chunk.
+pub(crate) fn wal_batch_payloads(entries: Vec<WalEntry>) -> Result<Vec<String>, FrameError> {
+    let encode = |batch: &Response| {
+        serde_json::to_string(batch).map_err(|e| FrameError::Decode(e.to_string()))
+    };
+    let whole = Response::WalBatch(WalBatchReply { entries });
+    let json = encode(&whole)?;
+    if json.len() <= MAX_FRAME_LEN as usize {
+        return Ok(vec![json]);
+    }
+    let Response::WalBatch(WalBatchReply { entries }) = whole else {
+        unreachable!("built as a WalBatch above");
+    };
+    chunk_entries(entries)
+        .into_iter()
+        .map(|chunk| encode(&Response::WalBatch(WalBatchReply { entries: chunk })))
+        .collect()
+}
+
+/// Writes the frames of [`wal_batch_payloads`] to a blocking stream.
+fn ship_wal_batch(w: &mut impl std::io::Write, entries: Vec<WalEntry>) -> Result<(), FrameError> {
+    for payload in wal_batch_payloads(entries)? {
+        write_frame(w, payload.as_bytes())?;
+    }
+    Ok(())
+}
+
 /// Splits a shipped batch into frame-sized chunks: entries are packed
 /// greedily by serialized size against the frame cap (minus wrapper
 /// headroom). A single entry always fits — [`winslett_core::MAX_RECORD_LEN`]
 /// is enforced at mint time precisely so this holds.
-pub(crate) fn chunk_entries(entries: Vec<WalEntry>) -> Vec<Vec<WalEntry>> {
+fn chunk_entries(entries: Vec<WalEntry>) -> Vec<Vec<WalEntry>> {
     let budget = MAX_FRAME_LEN as usize - 1024;
     let mut chunks = Vec::new();
     let mut chunk: Vec<WalEntry> = Vec::new();
@@ -2893,5 +2909,41 @@ mod tests {
             .expect("serialize");
             assert!(wire.len() <= MAX_FRAME_LEN as usize);
         }
+    }
+
+    #[test]
+    fn shipped_batches_are_one_frame_when_they_fit() {
+        let entries: Vec<WalEntry> = (0..5)
+            .map(|i| WalEntry {
+                lsn: i,
+                record: winslett_core::WalRecord::LoadFact("R".into(), vec![format!("{i}")]),
+            })
+            .collect();
+        let batch = |entries: Vec<WalEntry>| Response::WalBatch(WalBatchReply { entries });
+        let payloads = wal_batch_payloads(entries.clone()).unwrap();
+        assert_eq!(
+            payloads,
+            vec![serde_json::to_string(&batch(entries)).unwrap()]
+        );
+        assert_eq!(
+            wal_batch_payloads(Vec::new()).unwrap(),
+            vec![serde_json::to_string(&batch(Vec::new())).unwrap()],
+            "a heartbeat is one empty batch"
+        );
+        // Past the frame cap the batch splits exactly as `chunk_entries`.
+        let big = "x".repeat((MAX_FRAME_LEN as usize - 1024) / 2);
+        let entries: Vec<WalEntry> = (0..3)
+            .map(|i| WalEntry {
+                lsn: i,
+                record: winslett_core::WalRecord::LoadFact(big.clone(), Vec::new()),
+            })
+            .collect();
+        let payloads = wal_batch_payloads(entries.clone()).unwrap();
+        let want: Vec<String> = chunk_entries(entries)
+            .into_iter()
+            .map(|chunk| serde_json::to_string(&batch(chunk)).unwrap())
+            .collect();
+        assert_eq!(payloads.len(), 3);
+        assert_eq!(payloads, want);
     }
 }

@@ -728,18 +728,19 @@ impl Theory {
         }
     }
 
-    /// Renders a world bitset as sorted atom strings, for display/tests.
+    /// Renders a world bitset as sorted atom strings: what an `Explain`
+    /// reply carries. Each string is allocated once at its exact length;
+    /// atom strings are unique, so an unstable sort gives the same order
+    /// as a stable one.
     pub fn format_world(&self, world: &BitSet) -> Vec<String> {
-        let mut out: Vec<String> = world
-            .ones()
-            .map(|i| {
-                self.atoms
-                    .resolve(AtomId(i as u32))
-                    .display(&self.vocab)
-                    .to_string()
-            })
-            .collect();
-        out.sort();
+        let mut out = Vec::with_capacity(world.count_ones());
+        out.extend(world.ones().map(|i| {
+            self.atoms
+                .resolve(AtomId(i as u32))
+                .display(&self.vocab)
+                .to_sized_string()
+        }));
+        out.sort_unstable();
         out
     }
 }
