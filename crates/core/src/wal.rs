@@ -197,15 +197,12 @@ impl Storage for MemStorage {
 }
 
 /// Directory-backed storage: each name is a file under `dir`. Appends go
-/// through one `O_APPEND` handle per name, opened on first use and kept,
-/// so a WAL record costs one `write` and [`Storage::sync`] a real fsync
-/// through the same handle. [`Storage::replace`] drops the name's handle
-/// (the rename leaves it pointing at the unlinked inode), writes a temp
-/// file, fsyncs it, renames it into place, and fsyncs the directory.
-#[derive(Debug)]
+/// through `O_APPEND`; [`Storage::sync`] is a real fsync;
+/// [`Storage::replace`] writes a temp file, fsyncs it, renames it into
+/// place, and fsyncs the directory.
+#[derive(Clone, Debug)]
 pub struct DirStorage {
     dir: std::path::PathBuf,
-    appenders: HashMap<String, std::fs::File>,
 }
 
 impl DirStorage {
@@ -213,25 +210,11 @@ impl DirStorage {
     pub fn new(dir: impl Into<std::path::PathBuf>) -> Result<Self, DbError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(DirStorage {
-            dir,
-            appenders: HashMap::new(),
-        })
+        Ok(DirStorage { dir })
     }
 
     fn path(&self, name: &str) -> std::path::PathBuf {
         self.dir.join(name)
-    }
-}
-
-/// A clone names the same directory and opens its own handles on first
-/// use.
-impl Clone for DirStorage {
-    fn clone(&self) -> Self {
-        DirStorage {
-            dir: self.dir.clone(),
-            appenders: HashMap::new(),
-        }
     }
 }
 
@@ -246,23 +229,15 @@ impl Storage for DirStorage {
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
         use std::io::Write;
-        if let Some(f) = self.appenders.get_mut(name) {
-            f.write_all(data)?;
-            return Ok(());
-        }
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.path(name))?;
         f.write_all(data)?;
-        self.appenders.insert(name.to_string(), f);
         Ok(())
     }
 
     fn sync(&mut self, name: &str) -> Result<(), DbError> {
-        if let Some(f) = self.appenders.get(name) {
-            return Ok(f.sync_all()?);
-        }
         match std::fs::File::open(self.path(name)) {
             Ok(f) => Ok(f.sync_all()?),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -271,7 +246,6 @@ impl Storage for DirStorage {
     }
 
     fn replace(&mut self, name: &str, data: &[u8]) -> Result<(), DbError> {
-        self.appenders.remove(name);
         let tmp = self.path(&format!("{name}.tmp"));
         std::fs::write(&tmp, data)?;
         std::fs::File::open(&tmp)?.sync_all()?;
@@ -2495,7 +2469,7 @@ mod tests {
 
     #[test]
     fn dir_storage_appends_after_replace_land_in_the_new_file() {
-        let dir = std::env::temp_dir().join(format!("winslett-wal-handles-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("winslett-wal-replace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut storage = DirStorage::new(&dir).unwrap();
         storage.append("log", b"old-1;").unwrap();
@@ -2504,16 +2478,7 @@ mod tests {
         storage.append("log", b"after;").unwrap();
         storage.sync("log").unwrap();
         assert_eq!(storage.read("log").unwrap().unwrap(), b"new;after;");
-        // A clone opens its own handle; both land in the same file.
-        let mut sibling = storage.clone();
-        sibling.append("log", b"sibling;").unwrap();
-        storage.append("log", b"again;").unwrap();
-        sibling.sync("log").unwrap();
-        assert_eq!(
-            DirStorage::new(&dir).unwrap().read("log").unwrap().unwrap(),
-            b"new;after;sibling;again;"
-        );
-        // Syncing a name never written is a no-op, as before.
+        // Syncing a name never written is a no-op.
         storage.sync("absent").unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

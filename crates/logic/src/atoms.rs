@@ -55,30 +55,9 @@ pub struct AtomDisplay<'a> {
 }
 
 impl AtomDisplay<'_> {
-    /// Length in bytes of the rendering.
-    fn len(&self) -> usize {
-        let args = &self.atom.args;
-        let name = self.vocab.predicate(self.atom.pred).name.len();
-        if args.is_empty() {
-            return name;
-        }
-        // Parentheses plus one comma between each pair of arguments.
-        let consts: usize = args
-            .iter()
-            .map(|&a| self.vocab.constant_name(a).len())
-            .sum();
-        name + consts + args.len() + 1
-    }
-
-    /// The rendering in a `String` allocated once at its exact length.
-    pub fn to_sized_string(&self) -> String {
-        let mut out = String::with_capacity(self.len());
-        // Writing into a `String` cannot fail.
-        let _ = self.write_to(&mut out);
-        out
-    }
-
-    fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+    /// Appends the rendering to `w` with `write_str` alone: no format
+    /// machinery, so a caller rendering many atoms can reuse one buffer.
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
         w.write_str(&self.vocab.predicate(self.atom.pred).name)?;
         if !self.atom.args.is_empty() {
             w.write_str("(")?;

@@ -227,8 +227,9 @@ pub(crate) enum Done {
     /// A subscription registered: the opening frames (catch-up + backlog)
     /// and the live channel to stream from.
     SubStart {
-        /// `Catchup` (+ chunks) and backlog `WalBatch` frames, in order.
-        frames: Vec<Response>,
+        /// `Catchup` (+ chunks) and backlog `WalBatch` frame payloads,
+        /// encoded, in order.
+        frames: Vec<String>,
         /// The shipping channel this subscriber was registered under.
         rx: mpsc::Receiver<Vec<WalEntry>>,
     },
@@ -1180,7 +1181,7 @@ impl<R: Role> Reactor<R> {
                 Done::SubStart { frames, rx } => {
                     let mut ok = true;
                     for frame in &frames {
-                        if conn.wbuf.push_value(frame).is_err() {
+                        if conn.wbuf.push_frame(frame.as_bytes()).is_err() {
                             ok = false;
                             break;
                         }

@@ -863,32 +863,17 @@ impl<S: Storage + Send + 'static> Connection<S> {
                 }
             }
         };
-        let (snapshot, backlog) = match catchup {
-            Catchup::Suffix(entries) => (None, entries),
-            Catchup::Snapshot(snap, entries) => (Some(*snap), entries),
-        };
-        // A snapshot too large for one frame streams as CatchupChunk
-        // frames after a `chunked: true` announcement.
-        let opening = match catchup_frames(snapshot, next_lsn) {
-            Ok(frames) => frames,
-            Err(_) => {
-                let _ = send(
-                    &mut self.stream,
-                    &Response::Error(WireError {
-                        kind: ErrorKindWire::Internal,
-                        message: "catch-up snapshot serialization failed".into(),
-                    }),
-                );
+        let opening = match opening_payloads(catchup, next_lsn) {
+            Ok(payloads) => payloads,
+            Err(e) => {
+                let _ = send(&mut self.stream, &Response::Error(e));
                 return;
             }
         };
-        for frame in &opening {
-            if send(&mut self.stream, frame).is_err() {
+        for payload in &opening {
+            if write_frame(&mut self.stream, payload.as_bytes()).is_err() {
                 return;
             }
-        }
-        if ship_wal_batch(&mut self.stream, backlog).is_err() {
-            return;
         }
         loop {
             match rx.recv_timeout(HEARTBEAT_INTERVAL) {
@@ -1486,8 +1471,12 @@ fn notify_shipped<S: Storage>(shared: &Shared<S>) {
 /// The frame payloads that ship `entries`. A batch that fits one frame —
 /// every write batch in practice — is encoded once and sent as that one
 /// frame; only a larger one (a long catch-up backlog) falls back to
-/// [`chunk_entries`] and is encoded per chunk.
+/// [`chunk_entries`] and is encoded per chunk. No entries ship as no
+/// frame: the only empty batch on the stream is a heartbeat.
 pub(crate) fn wal_batch_payloads(entries: Vec<WalEntry>) -> Result<Vec<String>, FrameError> {
+    if entries.is_empty() {
+        return Ok(Vec::new());
+    }
     let encode = |batch: &Response| {
         serde_json::to_string(batch).map_err(|e| FrameError::Decode(e.to_string()))
     };
@@ -2233,14 +2222,36 @@ fn run_control<S: Storage>(
     }
 }
 
+/// The opening frames of a subscription on either I/O core, each encoded
+/// once: the catch-up (a snapshot too large for one frame streams as
+/// `CatchupChunk` frames after a `chunked: true` announcement), then the
+/// backlog batches of [`wal_batch_payloads`].
+fn opening_payloads(catchup: Catchup, next_lsn: u64) -> Result<Vec<String>, WireError> {
+    let failed = || WireError {
+        kind: ErrorKindWire::Internal,
+        message: "catch-up snapshot serialization failed".into(),
+    };
+    let (snapshot, backlog) = match catchup {
+        Catchup::Suffix(entries) => (None, entries),
+        Catchup::Snapshot(snap, entries) => (Some(*snap), entries),
+    };
+    let mut payloads = catchup_frames(snapshot, next_lsn)
+        .map_err(|_| failed())?
+        .iter()
+        .map(serde_json::to_string)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| failed())?;
+    payloads.extend(wal_batch_payloads(backlog).map_err(|_| failed())?);
+    Ok(payloads)
+}
+
 /// Registers a subscription under the writer lock: ships the tail to the
 /// existing subscribers so the registration point is exactly the storage
-/// state the catch-up reads, then plans the opening frames (catch-up,
-/// chunked if oversized, plus the backlog batches).
+/// state the catch-up reads, then encodes the [`opening_payloads`].
 fn subscription_start<S: Storage>(
     shared: &Arc<Shared<S>>,
     from_lsn: u64,
-) -> Result<(Vec<Response>, mpsc::Receiver<Vec<WalEntry>>), WireError> {
+) -> Result<(Vec<String>, mpsc::Receiver<Vec<WalEntry>>), WireError> {
     let mut guard = shared.writer.lock().map_err(|_| poisoned_writer())?;
     let db = guard.as_mut().ok_or_else(closed_writer)?;
     ship(shared, db);
@@ -2253,18 +2264,7 @@ fn subscription_start<S: Storage>(
         .unwrap_or_else(PoisonError::into_inner)
         .push(tx);
     drop(guard);
-    let (snapshot, backlog) = match catchup {
-        Catchup::Suffix(entries) => (None, entries),
-        Catchup::Snapshot(snap, entries) => (Some(*snap), entries),
-    };
-    let mut frames = catchup_frames(snapshot, next_lsn).map_err(|_| WireError {
-        kind: ErrorKindWire::Internal,
-        message: "catch-up snapshot serialization failed".into(),
-    })?;
-    for chunk in chunk_entries(backlog) {
-        frames.push(Response::WalBatch(WalBatchReply { entries: chunk }));
-    }
-    Ok((frames, rx))
+    Ok((opening_payloads(catchup, next_lsn)?, rx))
 }
 
 // ----- the primary's reactor role ---------------------------------------------
@@ -2925,10 +2925,9 @@ mod tests {
             payloads,
             vec![serde_json::to_string(&batch(entries)).unwrap()]
         );
-        assert_eq!(
-            wal_batch_payloads(Vec::new()).unwrap(),
-            vec![serde_json::to_string(&batch(Vec::new())).unwrap()],
-            "a heartbeat is one empty batch"
+        assert!(
+            wal_batch_payloads(Vec::new()).unwrap().is_empty(),
+            "no entries ship as no frame, as `chunk_entries` gives no chunk"
         );
         // Past the frame cap the batch splits exactly as `chunk_entries`.
         let big = "x".repeat((MAX_FRAME_LEN as usize - 1024) / 2);
@@ -2945,5 +2944,26 @@ mod tests {
             .collect();
         assert_eq!(payloads.len(), 3);
         assert_eq!(payloads, want);
+    }
+
+    #[test]
+    fn a_subscription_opens_with_the_catchup_then_its_backlog() {
+        let catchup = serde_json::to_string(&catchup_frames(None, 7).unwrap()[0]).unwrap();
+        assert_eq!(
+            opening_payloads(Catchup::Suffix(Vec::new()), 7).unwrap(),
+            vec![catchup.clone()],
+            "an empty backlog ships no batch"
+        );
+        let entries = vec![WalEntry {
+            lsn: 6,
+            record: winslett_core::WalRecord::LoadFact("R".into(), vec!["a".into()]),
+        }];
+        let batch = Response::WalBatch(WalBatchReply {
+            entries: entries.clone(),
+        });
+        assert_eq!(
+            opening_payloads(Catchup::Suffix(entries), 7).unwrap(),
+            vec![catchup, serde_json::to_string(&batch).unwrap()]
+        );
     }
 }

@@ -729,16 +729,22 @@ impl Theory {
     }
 
     /// Renders a world bitset as sorted atom strings: what an `Explain`
-    /// reply carries. Each string is allocated once at its exact length;
-    /// atom strings are unique, so an unstable sort gives the same order
-    /// as a stable one.
+    /// reply carries. Each atom is rendered into one reused buffer and
+    /// copied out at its exact length, one allocation per atom. Atom
+    /// strings are unique, so an unstable sort gives the same order as a
+    /// stable one.
     pub fn format_world(&self, world: &BitSet) -> Vec<String> {
+        let mut buf = String::new();
         let mut out = Vec::with_capacity(world.count_ones());
         out.extend(world.ones().map(|i| {
-            self.atoms
+            buf.clear();
+            // Writing into a `String` cannot fail.
+            let _ = self
+                .atoms
                 .resolve(AtomId(i as u32))
                 .display(&self.vocab)
-                .to_sized_string()
+                .write_to(&mut buf);
+            buf.as_str().to_owned()
         }));
         out.sort_unstable();
         out
